@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nice_bench::{exhaustive, ping_workload};
-use nice_mc::{CheckerConfig, StateStorage};
+use nice_mc::CheckerConfig;
 
 fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
@@ -15,7 +15,7 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| {
             exhaustive(
                 ping_workload(2, true),
-                CheckerConfig::default().with_state_storage(StateStorage::Replay),
+                CheckerConfig::default().with_checkpoint_interval(usize::MAX),
             )
         })
     });

@@ -37,7 +37,7 @@ struct EngineRow {
     /// states/s divided by the reference (first) engine's states/s of the
     /// same run — the machine-independent number the gate compares.
     relative_rate: f64,
-    /// Frontier nodes stolen between workers (work-stealing legs only).
+    /// Frontier nodes donated between workers (parallel legs only).
     work_steals: u64,
     /// Explored-set high-water mark in bytes.
     peak_explored_bytes: u64,
@@ -328,7 +328,7 @@ fn main() {
 
     let json = render_json(&profiles);
     validate_json(&json).expect("ci_gate emitted malformed JSON");
-    // Schema-presence gate: the scheduler and tiered-explored counters are
+    // Schema-presence gate: the donation and tiered-explored counters are
     // part of the BENCH json shape now; a refactor that silently drops them
     // fails here, not in whatever dashboard consumes the file.
     for key in [
@@ -354,7 +354,7 @@ fn main() {
             );
             if e.work_steals + e.spilled_shards + e.disk_probes > 0 {
                 println!(
-                    "  {:<32} steals {}  spilled {}  filter hits {}  disk probes {}  peak {} KiB",
+                    "  {:<32} donated {}  spilled {}  filter hits {}  disk probes {}  peak {} KiB",
                     "",
                     e.work_steals,
                     e.spilled_shards,
@@ -363,35 +363,6 @@ fn main() {
                     e.peak_explored_bytes >> 10
                 );
             }
-        }
-    }
-
-    // The headline number of the scheduler rework: work-stealing vs the old
-    // work-donation protocol at GATE_WORKERS on the chain profile. Report
-    // only — the speedup needs >= GATE_WORKERS physical cores to mean
-    // anything, and CI runners vary.
-    let steal_name = format!("parallel ({GATE_WORKERS} workers)");
-    let donate_name = format!("parallel donation ({GATE_WORKERS} workers)");
-    if let Some(chain) = profiles.first() {
-        let rate = |name: &str| {
-            chain
-                .engines
-                .iter()
-                .find(|e| e.name == name)
-                .map(|e| e.states_per_sec)
-        };
-        if let (Some(steal), Some(donate)) = (rate(&steal_name), rate(&donate_name)) {
-            println!(
-                "work-stealing vs donation ({} workers, {} cores): {:.2}x{}",
-                GATE_WORKERS,
-                core_count(),
-                steal / donate.max(1e-9),
-                if core_count() < GATE_WORKERS {
-                    " [fewer cores than workers; speedup not meaningful on this machine]"
-                } else {
-                    ""
-                }
-            );
         }
     }
 

@@ -25,7 +25,7 @@
 use nice_apps::scenarios::{bug_scenario, BugId};
 use nice_mc::{
     CheckObserver, CheckerConfig, ExploredMode, ModelChecker, NoopObserver, ReductionKind,
-    Scenario, SchedulerKind, SearchStats, StateStorage, StrategyKind,
+    Scenario, SearchStats, StrategyKind,
 };
 use std::time::Duration;
 
@@ -43,9 +43,8 @@ pub use nice_apps::workloads::{
 
 /// The engine matrix the exploration benches and the CI bench gate profile:
 /// the pre-COW deep-clone baseline, copy-on-write snapshots, checkpointed
-/// replay, the parallel engine (both schedulers, so the work-stealing vs
-/// work-donation speedup is visible in every run), the POR legs, and the
-/// tiered / bitstate explored-set legs. Shared by the `parallel` and
+/// replay, the parallel engine, the POR legs, and the tiered / bitstate
+/// explored-set legs. Shared by the `parallel` and
 /// `ci_gate` bins so their rows can never drift apart.
 pub fn engine_configs(workers: usize) -> Vec<(String, CheckerConfig)> {
     vec![
@@ -64,12 +63,6 @@ pub fn engine_configs(workers: usize) -> Vec<(String, CheckerConfig)> {
         (
             format!("parallel ({workers} workers)"),
             CheckerConfig::default().with_workers(workers),
-        ),
-        (
-            format!("parallel donation ({workers} workers)"),
-            CheckerConfig::default()
-                .with_workers(workers)
-                .with_scheduler(SchedulerKind::Donation),
         ),
         (
             "por (sleep sets)".into(),
@@ -385,7 +378,7 @@ pub fn ablation(pings: u32, max_transitions: u64) -> Vec<AblationRow> {
             label: "replay-based state storage (trade CPU for memory)".into(),
             stats: exhaustive(
                 ping_workload(pings, true),
-                base.with_state_storage(StateStorage::Replay),
+                base.with_checkpoint_interval(usize::MAX),
             ),
         },
     ]

@@ -10,19 +10,30 @@
 //! duplicates dedup at their owners, so only `dedup_hits` may inflate.
 //!
 //! Every test serializes on one mutex: the coordinator spawns worker child
-//! processes, and the crash test scopes the `NICE_DIST_DIE_AFTER`
-//! environment variable, which must not leak into concurrent spawns.
+//! processes, and the tests scope the `NICE_DIST_DIE_AFTER` and
+//! `NICE_DIST_WORKER_BIN` environment variables, which must not leak into
+//! concurrent spawns.
+//!
+//! The suite lives in the `nice-dist` package so that cargo builds the
+//! package's `nice-dist-worker` binary before running it; the pool is
+//! pointed at that binary through `NICE_DIST_WORKER_BIN`.
 
-use nice::prelude::*;
 use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
+use nice_mc::{CheckReport, ModelChecker, ReplayOutcome};
 use std::sync::{Mutex, PoisonError};
 
+/// The worker binary cargo built for this package's integration tests.
+const WORKER_BIN: &str = env!("CARGO_BIN_EXE_nice-dist-worker");
+
 /// One coordinator (and its worker processes) at a time, and a fence around
-/// the crash test's environment variable.
+/// the tests' environment variables.
 static DIST_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes the lock and points the pool at the freshly built worker binary.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    DIST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    let guard = DIST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    std::env::set_var(WORKER_BIN_ENV, WORKER_BIN);
+    guard
 }
 
 /// A spec exploring the full space: every violation, no budgets.
@@ -264,7 +275,7 @@ fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
     let result = Coordinator::new(1)
         .expect("spawning the pool itself succeeds")
         .run_job(&full_spec("chain:3:1", false), |_| {}, None);
-    std::env::remove_var(WORKER_BIN_ENV);
+    std::env::set_var(WORKER_BIN_ENV, WORKER_BIN);
     let _ = std::fs::remove_file(&script);
 
     let err = result.expect_err("a worker dying on every spawn must fail the job");

@@ -8,39 +8,38 @@
 //! * `workers == 1` (default) — the canonical sequential depth-first search.
 //!   Fully deterministic: a fixed scenario and configuration always yield the
 //!   same transition count, unique-state count and violation traces.
-//! * `workers > 1` — a parallel search. By default
-//!   ([`SchedulerKind::WorkStealing`]) each worker owns a lock-free
-//!   Chase-Lev deque: children are pushed and popped locally (depth-first,
-//!   no synchronisation), and an idle worker steals half of a victim's
-//!   oldest work. The legacy mutex-protected donation frontier is kept
-//!   selectable ([`SchedulerKind::Donation`]) so the two can be
-//!   benchmarked against each other. Both deduplicate states through a
-//!   shared [`ExploredStore`], so each unique state is expanded exactly
-//!   once across all workers. With no truncating budget the parallel
-//!   search visits the same state space as the sequential one (identical
+//! * `workers > 1` — a parallel search. Each worker keeps a private stack
+//!   of frontier nodes and donates work to a shared queue only while a
+//!   sibling is starving. All workers deduplicate states through one shared
+//!   [`ExploredStore`], so each unique state is expanded exactly once
+//!   across all workers. With no truncating budget the parallel search
+//!   visits the same state space as the sequential one (identical
 //!   `unique_states` and `transitions`, same set of violated properties),
 //!   but the *order* of exploration — and therefore which trace first
 //!   reaches a violating state, and where a `max_transitions` budget cuts
 //!   off — is scheduling dependent.
 //!
-//! # Frontier storage modes
+//! Both engines, and the distributed one, turn a popped node into its
+//! children with the same function, `Expander::expand` (module `expand`).
+//!
+//! # Frontier storage
 //!
 //! Every frontier node keeps its transition trace (it doubles as the
-//! violation trace). What else is kept is governed by
-//! [`StateStorage`](crate::scenario::StateStorage):
+//! violation trace). What else it keeps is set by one knob,
+//! [`CheckerConfig::checkpoint_interval`]: a copy-on-write snapshot of the
+//! state is taken every `interval` transitions of depth and shared (via
+//! `Arc`) by every descendant node until the next checkpoint, and
+//! expanding a node replays only the suffix since its nearest checkpoint
+//! (at most `interval - 1` transitions).
 //!
-//! * `Full` — each node carries a snapshot of its exact state. Since
-//!   [`SystemState`] is copy-on-write, the snapshot shares everything the
-//!   child did not modify with its parent, so this is the default and is
-//!   both fast and reasonably small.
-//! * `Replay` — nodes carry no state; expanding a node re-executes its whole
-//!   trace from the initial state (the paper's Section 6 memory-saving
-//!   mode). Cheapest per node, O(depth) re-execution per expansion.
-//! * `Checkpoint { interval }` — the hybrid: a copy-on-write snapshot is
-//!   taken every `interval` transitions of depth and shared (via `Arc`) by
-//!   every descendant node until the next checkpoint; expanding a node
-//!   replays only the suffix since its nearest checkpoint — at most
-//!   `interval - 1` transitions instead of the full depth.
+//! * `1` (the default) — every node carries a snapshot of its exact state.
+//!   Since [`SystemState`] is copy-on-write, the snapshot shares everything
+//!   the child did not modify with its parent, so this is both fast and
+//!   reasonably small.
+//! * `usize::MAX` — nodes carry no state; expanding a node re-executes its
+//!   whole trace from the initial state (the paper's Section 6
+//!   memory-saving mode). Cheapest per node, O(depth) re-execution per
+//!   expansion.
 //!
 //! The explored set stores only 64-bit state fingerprints (Section 6 of the
 //! paper), behind the tiered [`ExploredStore`] abstraction of
@@ -52,18 +51,18 @@
 //! see `crate::explored::FingerprintMap` for why that keeps sleep sets
 //! sound under state matching.
 
+use crate::expand::{Counter, Expander, Node, Sink, Snapshot};
 use crate::explored::{build_store, visit_explored, ExploredStore, FingerprintMap, Visit};
-use crate::properties::{Event, Property};
-use crate::scenario::{CheckerConfig, Scenario, SchedulerKind, StateStorage};
+use crate::scenario::{CheckerConfig, Scenario};
 use crate::session::{Outcome, SessionCtrl};
+use crate::shard::{ShardSpec, ShardedSearch, StepOutcome};
 use crate::state::SystemState;
-use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy};
+use crate::strategy::build_strategy;
 use crate::trace::{Trace, TraceEngine, TraceStep};
 use crate::transition::{
     drain_control_plane, enabled_transitions, execute, DiscoveryMemo, SharedDiscoveryCache,
     Transition,
 };
-use nice_deque::{Steal, Stealer, Worker as WorkDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -244,8 +243,10 @@ pub struct SearchStats {
     pub max_depth: usize,
     /// True if a budget (transition or depth limit) cut the search short.
     pub truncated: bool,
-    /// Frontier nodes an idle worker stole from a sibling's deque (only the
-    /// work-stealing parallel scheduler; zero elsewhere).
+    /// Frontier nodes donated between parallel workers: a busy worker hands
+    /// nodes to the shared queue only while a sibling is starving. Zero for
+    /// the sequential and distributed engines. (Named `work_steals` because
+    /// the dist wire format and the JSON documents carry that key.)
     pub work_steals: u64,
     /// High-water mark of the explored set's in-memory footprint, in bytes.
     pub peak_explored_bytes: u64,
@@ -338,7 +339,7 @@ impl fmt::Display for CheckReport {
         )?;
         writeln!(
             f,
-            "  explored set: {} bytes peak | work steals: {}",
+            "  explored set: {} bytes peak | nodes donated: {}",
             self.stats.peak_explored_bytes, self.stats.work_steals
         )?;
         if self.stats.spilled_shards > 0 || self.stats.disk_probes > 0 || self.stats.filter_hits > 0
@@ -363,44 +364,6 @@ impl fmt::Display for CheckReport {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Frontier nodes
-// ---------------------------------------------------------------------------
-
-/// A snapshot of the system and property state at some depth of a trace.
-pub(crate) struct Snapshot {
-    pub(crate) state: SystemState,
-    pub(crate) properties: Vec<Box<dyn Property>>,
-}
-
-/// One frontier entry of the search.
-///
-/// The node's state is `base` advanced by `trace[base_depth..]`; `trace` is
-/// always kept in full because it is also the violation trace. Under
-/// `StateStorage::Full` the base *is* the node's state (empty suffix); under
-/// `Replay` the base is the initial state; under `Checkpoint` it is the
-/// nearest ancestor checkpoint, shared via `Arc` with every other descendant
-/// of that checkpoint.
-///
-/// The sleep set travels with the node (not with the snapshot), so it
-/// survives checkpoint/replay reconstruction unchanged: replaying the trace
-/// suffix rebuilds the state, while the pruning obligations were fixed when
-/// the node was generated.
-pub(crate) struct Node {
-    pub(crate) base: Arc<Snapshot>,
-    pub(crate) base_depth: usize,
-    pub(crate) trace: Vec<Transition>,
-    /// Transitions whose exploration from this node is redundant (already
-    /// covered by a commuting sibling branch). Always empty without POR.
-    pub(crate) sleep: Vec<Transition>,
-    /// True if this node re-expands an already-visited state with a
-    /// narrowed sleep set (`Visit::Widen`). Re-expansions exist only to
-    /// cover successors the first visit pruned; the state itself was
-    /// already accounted for, so terminal counting and end-of-trace
-    /// property checks must not run again.
-    pub(crate) revisit: bool,
 }
 
 /// The NICE model checker.
@@ -446,8 +409,8 @@ impl ModelChecker {
     }
 
     /// Builds the typed witness for a violation found at `transitions`
-    /// (plus the optional violating transition) — shared by the sequential
-    /// and parallel engines so their traces can never diverge.
+    /// (plus the optional violating transition) — shared by every engine
+    /// and the random walk so their traces can never diverge.
     pub(crate) fn make_trace(
         &self,
         transitions: &[Transition],
@@ -468,8 +431,7 @@ impl ModelChecker {
         trace
     }
 
-    /// Appends a violation (with its typed trace) to a sequential-engine
-    /// report.
+    /// Appends a violation (with its typed trace) to a random-walk report.
     pub(crate) fn record_violation(
         &self,
         report: &mut CheckReport,
@@ -488,186 +450,16 @@ impl ModelChecker {
         });
     }
 
-    /// Clones a state for a child node, honouring the benchmark-only
-    /// deep-clone switch.
-    fn clone_state(&self, state: &SystemState) -> SystemState {
-        if self.config.force_deep_clone {
-            state.deep_clone()
-        } else {
-            state.clone()
-        }
-    }
-
-    /// Under checkpointed storage, the parent's snapshot handle must outlive
-    /// the parent node (children between checkpoints inherit it); this
-    /// captures it before [`ModelChecker::materialize`] consumes the node.
-    pub(crate) fn parent_base(&self, node: &Node) -> Option<(Arc<Snapshot>, usize)> {
-        match self.config.state_storage {
-            StateStorage::Checkpoint { .. } => Some((Arc::clone(&node.base), node.base_depth)),
-            _ => None,
-        }
-    }
-
-    /// Builds the frontier node for a child reached over `trace`, choosing
-    /// what to snapshot according to the storage mode.
-    pub(crate) fn make_node(
-        &self,
-        root: &Arc<Snapshot>,
-        parent_base: &Option<(Arc<Snapshot>, usize)>,
-        trace: Vec<Transition>,
-        state: SystemState,
-        properties: Vec<Box<dyn Property>>,
-        sleep: Vec<Transition>,
-    ) -> Node {
-        match self.config.state_storage {
-            StateStorage::Full => {
-                let base_depth = trace.len();
-                Node {
-                    base: Arc::new(Snapshot { state, properties }),
-                    base_depth,
-                    trace,
-                    sleep,
-                    revisit: false,
-                }
-            }
-            StateStorage::Replay => Node {
-                base: Arc::clone(root),
-                base_depth: 0,
-                trace,
-                sleep,
-                revisit: false,
-            },
-            StateStorage::Checkpoint { interval } => {
-                if trace.len().is_multiple_of(interval.max(1)) {
-                    let base_depth = trace.len();
-                    Node {
-                        base: Arc::new(Snapshot { state, properties }),
-                        base_depth,
-                        trace,
-                        sleep,
-                        revisit: false,
-                    }
-                } else {
-                    let (base, base_depth) = parent_base
-                        .as_ref()
-                        .expect("checkpoint mode captures the parent base");
-                    Node {
-                        base: Arc::clone(base),
-                        base_depth: *base_depth,
-                        trace,
-                        sleep,
-                        revisit: false,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one transition from `state`: clones the successor, runs the
-    /// transition (plus lock-step drain), feeds the property observers, and
-    /// collects any violations as `(property name, message)` pairs. This is
-    /// the single definition of a search step — the sequential and parallel
-    /// engines both call it, so their semantics cannot diverge.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub(crate) fn step_transition(
-        &self,
-        state: &SystemState,
-        properties: &[Box<dyn Property>],
-        transition: &Transition,
-        strategy: &dyn SearchStrategy,
-        memo: &mut DiscoveryMemo,
-        events: &mut Vec<Event>,
-    ) -> (SystemState, Vec<Box<dyn Property>>, Vec<(String, String)>) {
-        let mut next_state = self.clone_state(state);
-        let mut next_properties = properties.to_vec();
-        events.clear();
-        execute(
-            &mut next_state,
-            transition,
-            &self.scenario,
-            &self.config,
-            memo,
-            events,
-        );
-        if strategy.lock_step_control_plane() {
-            drain_control_plane(&mut next_state, &self.scenario, &self.config, memo, events);
-        }
-        for event in events.iter() {
-            for property in next_properties.iter_mut() {
-                property.on_event(event, &next_state);
-            }
-        }
-        let violations = next_properties
-            .iter()
-            .filter_map(|p| p.check(&next_state).map(|m| (p.name().to_string(), m)))
-            .collect();
-        (next_state, next_properties, violations)
-    }
-
-    /// Rebuilds a node's state (and its property state) by replaying the
-    /// trace suffix since the node's snapshot — the memory-saving state
-    /// restoration of Section 6, bounded by the checkpoint cadence.
-    ///
-    /// Consumes the node: under `Full` storage the snapshot is uniquely
-    /// owned, so the state is moved out without any clone at all.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn materialize(
-        &self,
-        node: Node,
-        strategy: &dyn SearchStrategy,
-        memo: &mut DiscoveryMemo,
-    ) -> (
-        SystemState,
-        Vec<Box<dyn Property>>,
-        Vec<Transition>,
-        Vec<Transition>,
-    ) {
-        let Node {
-            base,
-            base_depth,
-            trace,
-            sleep,
-            revisit: _,
-        } = node;
-        let (mut state, mut properties) = match Arc::try_unwrap(base) {
-            Ok(snapshot) => (snapshot.state, snapshot.properties),
-            Err(shared) => (shared.state.clone(), shared.properties.clone()),
-        };
-        let mut events = Vec::new();
-        for transition in &trace[base_depth..] {
-            events.clear();
-            execute(
-                &mut state,
-                transition,
-                &self.scenario,
-                &self.config,
-                memo,
-                &mut events,
-            );
-            if strategy.lock_step_control_plane() {
-                drain_control_plane(&mut state, &self.scenario, &self.config, memo, &mut events);
-            }
-            for event in &events {
-                for property in properties.iter_mut() {
-                    property.on_event(event, &state);
-                }
-            }
-        }
-        (state, properties, trace, sleep)
-    }
-
     // -----------------------------------------------------------------------
     // Sequential engine
     // -----------------------------------------------------------------------
 
     /// The canonical sequential depth-first search: a solo-shard
-    /// [`ShardedSearch`](crate::shard::ShardedSearch) driven to completion.
-    /// The expansion loop lives in `shard.rs` — one definition shared with
-    /// the distributed engine, so a 1-shard distributed run is bit-identical
-    /// to this by construction.
+    /// [`ShardedSearch`] driven to completion, so a 1-shard distributed run
+    /// is bit-identical to this by construction.
     fn run_sequential(&self, ctrl: &SessionCtrl) -> CheckReport {
-        let mut search = crate::shard::ShardedSearch::new(self, crate::shard::ShardSpec::solo());
-        while search.step_ctrl(Some(ctrl)) == crate::shard::StepOutcome::Expanded {}
+        let mut search = ShardedSearch::new(self, ShardSpec::solo());
+        while search.step_ctrl(Some(ctrl)) == StepOutcome::Expanded {}
         search.finish()
     }
 
@@ -675,40 +467,29 @@ impl ModelChecker {
     // Parallel engine
     // -----------------------------------------------------------------------
 
+    /// The parallel search: `workers` threads expand nodes from private
+    /// stacks, deduplicate through one shared [`ExploredStore`], and hand
+    /// work to a starving sibling through the [`DonationQueue`].
     fn run_parallel(&self, ctrl: &SessionCtrl) -> CheckReport {
         let start = Instant::now();
         let workers = self.config.workers;
-
-        let initial_state = SystemState::initial(&self.scenario);
-        let initial_properties: Vec<Box<dyn Property>> = self.scenario.properties.clone();
-        let initial_fingerprint = initial_state.fingerprint();
-        let root = Arc::new(Snapshot {
-            state: initial_state,
-            properties: initial_properties,
-        });
-        let root_node = Node {
-            base: Arc::clone(&root),
-            base_depth: 0,
-            trace: Vec::new(),
-            sleep: Vec::new(),
-            revisit: false,
-        };
-
+        let (root, fingerprint) = Snapshot::initial(self);
         let store = build_store(&self.config.explored);
-        store.visit(initial_fingerprint, &[]);
+        store.visit(fingerprint, &[]);
         let stats = SharedStats::new();
         stats.unique_states.store(1, Ordering::Relaxed);
+        let queue = DonationQueue::new(
+            workers,
+            Node::from_root(&root, Vec::new(), Vec::new(), false),
+        );
 
-        let cx = WorkerCtx {
-            stats: &stats,
-            store: store.as_ref(),
-            root: &root,
-            ctrl,
-        };
-        match self.config.scheduler {
-            SchedulerKind::WorkStealing => self.run_stealing(workers, root_node, cx),
-            SchedulerKind::Donation => self.run_donation(workers, root_node, cx),
-        }
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let (store, queue, stats) = (store.as_ref(), &queue, &stats);
+                let root = Arc::clone(&root);
+                scope.spawn(move || self.parallel_worker(root, store, queue, stats, ctrl));
+            }
+        });
 
         let mut report = stats.report();
         report.stats.absorb_explored(store.stats());
@@ -720,315 +501,65 @@ impl ModelChecker {
         report
     }
 
-    /// Runs the work-stealing scheduler: one Chase-Lev deque per worker,
-    /// the root seeded into worker 0's deque, termination through the
-    /// [`StealPool::node_done`] live-node counter.
-    fn run_stealing(&self, workers: usize, root_node: Node, cx: WorkerCtx<'_, '_>) {
-        let deques: Vec<WorkDeque<Node>> = (0..workers).map(|_| WorkDeque::new()).collect();
-        let pool = StealPool {
-            stealers: deques.iter().map(WorkDeque::stealer).collect(),
-            live: AtomicU64::new(1),
-            idlers: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            unpark: Condvar::new(),
-        };
-        deques[0].push(root_node);
-
-        std::thread::scope(|scope| {
-            for (index, deque) in deques.into_iter().enumerate() {
-                let pool = &pool;
-                scope.spawn(move || self.stealing_worker(index, deque, pool, cx));
-            }
-        });
-    }
-
-    /// One worker of the work-stealing search. The deque is *owned* by this
-    /// worker (local push/pop are lock- and fence-cheap); siblings only
-    /// touch it through their [`Stealer`] handles.
-    fn stealing_worker(
-        &self,
-        index: usize,
-        deque: WorkDeque<Node>,
-        pool: &StealPool,
-        cx: WorkerCtx<'_, '_>,
-    ) {
-        let _stop_on_panic = OnPanic(|| pool.stop(cx.stats));
-        let strategy = build_strategy(self.config.strategy);
-        let reduction = build_reduction(self.config.reduction);
-        let mut memo = DiscoveryMemo::with_shared(Arc::clone(&cx.stats.discoveries));
-        let mut events: Vec<Event> = Vec::new();
-
-        while let Some(node) = pool.next_node(index, &deque, cx.stats) {
-            // Session control: a fired cancel token or expired deadline winds
-            // every worker down (each polls here, so none can hang on work
-            // the others abandoned).
-            if cx.ctrl.check_interrupt().is_some() {
-                pool.stop(cx.stats);
-                break;
-            }
-            match self.expand_node(
-                node,
-                strategy.as_ref(),
-                reduction.as_ref(),
-                &mut memo,
-                &mut events,
-                cx,
-            ) {
-                Expanded::Children(children) => {
-                    // Children enter `live` *before* their parent retires, so
-                    // the counter cannot dip to zero while work is still in
-                    // flight.
-                    if !children.is_empty() {
-                        pool.live.fetch_add(children.len() as u64, Ordering::AcqRel);
-                        for child in children {
-                            deque.push(child);
-                        }
-                        if pool.idlers.load(Ordering::Relaxed) > 0 {
-                            let _guard = pool
-                                .park
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            pool.unpark.notify_all();
-                        }
-                    }
-                    pool.node_done(cx.stats);
-                }
-                Expanded::Stop => {
-                    pool.stop(cx.stats);
-                    break;
-                }
-            }
-        }
-
-        cx.stats
-            .symbolic_executions
-            .fetch_add(memo.symbolic_executions, Ordering::Relaxed);
-    }
-
-    /// Runs the legacy donation scheduler (kept as the benchmark baseline).
-    fn run_donation(&self, workers: usize, root_node: Node, cx: WorkerCtx<'_, '_>) {
-        let queue = DonationQueue::new(workers, root_node);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                scope.spawn(move || self.donation_worker(queue, cx));
-            }
-        });
-    }
-
-    /// One worker of the donation search: pops nodes, expands them, and
+    /// One worker of the parallel search: pops nodes, expands them, and
     /// terminates when every worker is idle on an empty queue (or a stop
     /// condition fired). Each worker keeps a private stack of nodes and only
-    /// exchanges work through the shared queue when other workers are
+    /// exchanges work through the shared queue when another worker is
     /// starving, so the common case pays no synchronisation beyond the
     /// explored store and the statistics counters.
-    fn donation_worker(&self, queue: &DonationQueue, cx: WorkerCtx<'_, '_>) {
-        let _stop_on_panic = OnPanic(|| queue.stop(cx.stats));
-        let strategy = build_strategy(self.config.strategy);
-        let reduction = build_reduction(self.config.reduction);
-        let mut memo = DiscoveryMemo::with_shared(Arc::clone(&cx.stats.discoveries));
+    fn parallel_worker(
+        &self,
+        root: Arc<Snapshot>,
+        store: &dyn ExploredStore,
+        queue: &DonationQueue,
+        stats: &SharedStats,
+        ctrl: &SessionCtrl,
+    ) {
+        let _stop_on_panic = OnPanic(|| queue.stop(stats));
+        let memo = DiscoveryMemo::with_shared(Arc::clone(&stats.discoveries));
+        let mut expander = Expander::new(self, root, ShardSpec::solo(), memo);
+        let mut sink = stats;
         let mut local: Vec<Node> = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
 
         loop {
-            let node = if cx.stats.stop.load(Ordering::Relaxed) {
+            let node = if stats.stop.load(Ordering::Relaxed) {
                 break;
             } else if let Some(node) = local.pop() {
                 node
             } else {
-                match queue.pop_work(cx.stats) {
+                match queue.pop_work(stats) {
                     Some(node) => node,
                     None => break,
                 }
             };
-            if cx.ctrl.check_interrupt().is_some() {
-                queue.stop(cx.stats);
+            // Session control: a fired cancel token or expired deadline winds
+            // every worker down (each polls here, so none can hang on work
+            // the others abandoned).
+            if ctrl.check_interrupt().is_some() {
+                queue.stop(stats);
                 break;
             }
-            match self.expand_node(
-                node,
-                strategy.as_ref(),
-                reduction.as_ref(),
-                &mut memo,
-                &mut events,
-                cx,
-            ) {
-                Expanded::Children(children) => {
-                    // Work sharing: hand nodes to the shared queue only when
-                    // another worker is starving (or the queue is empty);
-                    // otherwise keep them on the private stack and skip the
-                    // lock entirely.
-                    if queue.needs_work() {
-                        let mut donated = children;
-                        if local.len() > 1 {
-                            let take = local.len() / 2;
-                            donated.extend(local.drain(..take));
-                        }
-                        queue.push_work(donated);
-                    } else {
-                        local.extend(children);
-                    }
-                }
-                Expanded::Stop => {
-                    queue.stop(cx.stats);
-                    break;
-                }
+            let before = local.len();
+            if !expander.expand(node, store, &mut local, &mut sink, Some(ctrl)) {
+                queue.stop(stats);
+                break;
+            }
+            // Donate only when a sibling is starving: this node's children
+            // plus the older half of the private stack. Otherwise keep
+            // everything local and skip the lock entirely.
+            if queue.needs_work() {
+                let mut donated = local.split_off(before);
+                donated.extend(local.drain(..before / 2));
+                stats
+                    .work_steals
+                    .fetch_add(donated.len() as u64, Ordering::Relaxed);
+                queue.push_work(donated);
             }
         }
 
-        cx.stats
+        stats
             .symbolic_executions
-            .fetch_add(memo.symbolic_executions, Ordering::Relaxed);
-    }
-
-    /// Expands one frontier node: materializes its state, applies the
-    /// strategy and the reduction, steps every surviving transition, and
-    /// returns the unexplored children. Scheduler-agnostic — both parallel
-    /// engines drive the search through this.
-    fn expand_node(
-        &self,
-        node: Node,
-        strategy: &dyn SearchStrategy,
-        reduction: &dyn Reduction,
-        memo: &mut DiscoveryMemo,
-        events: &mut Vec<Event>,
-        cx: WorkerCtx<'_, '_>,
-    ) -> Expanded {
-        let WorkerCtx {
-            stats,
-            store,
-            root,
-            ctrl,
-        } = cx;
-        stats
-            .max_depth
-            .fetch_max(node.trace.len(), Ordering::Relaxed);
-
-        let revisit = node.revisit;
-        let parent_base = self.parent_base(&node);
-        let (state, properties, trace, sleep) = self.materialize(node, strategy, memo);
-
-        let enabled = enabled_transitions(&state, &self.scenario, &self.config);
-        let enabled_count = enabled.len();
-        let enabled = strategy.select(&state, enabled);
-        stats
-            .pruned_by_strategy
-            .fetch_add((enabled_count - enabled.len()) as u64, Ordering::Relaxed);
-
-        if enabled.is_empty() {
-            // A widened revisit of a terminal state was already counted
-            // (and final-checked) on its first visit.
-            let mut stop = false;
-            if !revisit {
-                stats.terminal_states.fetch_add(1, Ordering::Relaxed);
-                for property in &properties {
-                    if let Some(message) = property.check_final(&state) {
-                        let typed = self.make_trace(&trace, None, property.name(), &message);
-                        let v = stats.record_violation(property.name(), message, typed);
-                        ctrl.notify_violation(&v);
-                        if self.config.stop_at_first_violation {
-                            stop = true;
-                        }
-                    }
-                }
-            }
-            return if stop {
-                Expanded::Stop
-            } else {
-                Expanded::Children(Vec::new())
-            };
-        }
-
-        if trace.len() >= self.config.max_depth {
-            stats.truncated.store(true, Ordering::Relaxed);
-            return Expanded::Children(Vec::new());
-        }
-
-        let choice = reduction.select(&state, &self.scenario, enabled, &sleep);
-        stats
-            .pruned_by_por
-            .fetch_add(choice.pruned, Ordering::Relaxed);
-        let mut child_sleeps =
-            reduction.child_sleeps(&state, &self.scenario, &choice.explore, &sleep);
-
-        let mut children = Vec::new();
-        for (index, transition) in choice.explore.into_iter().enumerate() {
-            if stats.stop.load(Ordering::Relaxed) {
-                return Expanded::Stop;
-            }
-            if !stats.try_take_transition_budget(self.config.max_transitions) {
-                return Expanded::Stop;
-            }
-            if let Some(index) = transition.fault_counter_index() {
-                stats.faults[index].fetch_add(1, Ordering::Relaxed);
-            }
-
-            let (next_state, next_properties, violations) =
-                self.step_transition(&state, &properties, &transition, strategy, memo, events);
-
-            ctrl.maybe_progress(
-                stats.transitions.load(Ordering::Relaxed),
-                stats.unique_states.load(Ordering::Relaxed),
-                trace.len() + 1,
-                store.bytes(),
-            );
-
-            let violated = !violations.is_empty();
-            for (property, message) in violations {
-                let typed = self.make_trace(&trace, Some(&transition), &property, &message);
-                let v = stats.record_violation(&property, message, typed);
-                ctrl.notify_violation(&v);
-            }
-            if violated {
-                if self.config.stop_at_first_violation {
-                    return Expanded::Stop;
-                }
-                continue;
-            }
-
-            let child_sleep = std::mem::take(&mut child_sleeps[index]);
-            let mut child_digests: Vec<u64> = child_sleep.iter().map(Transition::digest).collect();
-            child_digests.sort_unstable();
-            child_digests.dedup();
-
-            match store.visit(next_state.fingerprint(), &child_digests) {
-                Visit::New => {
-                    stats.unique_states.fetch_add(1, Ordering::Relaxed);
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    children.push(self.make_node(
-                        root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        child_sleep,
-                    ));
-                }
-                Visit::Known => {
-                    stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Visit::Widen(narrowed) => {
-                    let narrowed_sleep: Vec<Transition> = child_sleep
-                        .into_iter()
-                        .filter(|t| narrowed.binary_search(&t.digest()).is_ok())
-                        .collect();
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    let mut node = self.make_node(
-                        root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        narrowed_sleep,
-                    );
-                    node.revisit = true;
-                    children.push(node);
-                }
-            }
-        }
-        Expanded::Children(children)
+            .fetch_add(expander.memo.symbolic_executions, Ordering::Relaxed);
     }
 
     /// Performs `walks` random walks of at most `max_steps` transitions each
@@ -1131,36 +662,15 @@ impl ModelChecker {
 // Shared state of the parallel search
 // ---------------------------------------------------------------------------
 
-/// What expanding one frontier node produced.
-enum Expanded {
-    /// The node's unexplored children (possibly none). The caller owes the
-    /// scheduler a `node_done`-style retirement for the expanded node.
-    Children(Vec<Node>),
-    /// A stop condition fired mid-expansion (budget exhausted, first
-    /// violation under `stop_at_first_violation`, or a sibling's stop flag):
-    /// wind the search down; any children are deliberately discarded.
-    Stop,
-}
-
-/// The per-run references every worker shares, bundled so the worker and
-/// expansion signatures stay tractable.
-#[derive(Clone, Copy)]
-struct WorkerCtx<'a, 'c> {
-    stats: &'a SharedStats,
-    store: &'a dyn ExploredStore,
-    root: &'a Arc<Snapshot>,
-    ctrl: &'a SessionCtrl<'c>,
-}
-
-/// Scheduler-agnostic shared state of one parallel run: the statistics
-/// counters, the collected violations, and the stop flag every worker polls
-/// between transitions. The *work distribution* state lives in the
-/// scheduler ([`StealPool`] or [`DonationQueue`]).
+/// Shared state of one parallel run: the statistics counters, the
+/// collected violations, and the stop flag every worker polls between
+/// transitions. It is the workers' [`Sink`]. The *work distribution* state
+/// lives in the [`DonationQueue`].
 struct SharedStats {
     /// Cross-worker symbolic-discovery cache (see [`SharedDiscoveryCache`]).
     discoveries: Arc<SharedDiscoveryCache>,
     /// Set by any stop condition; whoever sets it must also wake the
-    /// scheduler's sleepers (via [`StealPool::stop`] / [`DonationQueue::stop`]).
+    /// queue's sleepers (via [`DonationQueue::stop`]).
     stop: AtomicBool,
     transitions: AtomicU64,
     unique_states: AtomicU64,
@@ -1198,51 +708,6 @@ impl SharedStats {
         }
     }
 
-    /// Claims one unit of the transition budget. On exhaustion, marks the
-    /// run truncated and raises the stop flag — the calling worker returns
-    /// [`Expanded::Stop`] and its scheduler wakes the sleepers.
-    fn try_take_transition_budget(&self, max_transitions: u64) -> bool {
-        if max_transitions == 0 {
-            self.transitions.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        let mut current = self.transitions.load(Ordering::Relaxed);
-        loop {
-            if current >= max_transitions {
-                self.truncated.store(true, Ordering::Relaxed);
-                self.stop.store(true, Ordering::Relaxed);
-                return false;
-            }
-            match self.transitions.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Records a violation and returns the caller's copy of it (for
-    /// streaming through the session observer). The typed trace is built by
-    /// the worker (via [`ModelChecker::make_trace`]) before taking the lock.
-    fn record_violation(&self, property: &str, message: String, trace: Trace) -> Violation {
-        let violation = Violation {
-            property: property.to_string(),
-            message,
-            trace,
-            transitions_explored: self.transitions.load(Ordering::Relaxed),
-            unique_states: self.unique_states.load(Ordering::Relaxed),
-        };
-        self.violations
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(violation.clone());
-        violation
-    }
-
     /// Drains the counters and violations into a report (workers must have
     /// joined).
     fn report(&self) -> CheckReport {
@@ -1270,132 +735,76 @@ impl SharedStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Work-stealing scheduler state
-// ---------------------------------------------------------------------------
-
-/// How long an idle worker parks before re-checking the deques. The park
-/// protocol has a benign race (a producer can push between a thief's empty
-/// check and its wait), so sleeps are always bounded by this timeout
-/// instead of relying on wakeups alone.
-const PARK_TIMEOUT: Duration = Duration::from_micros(500);
-
-/// Shared state of the work-stealing scheduler: every worker's stealer
-/// handle plus the termination counter.
-struct StealPool {
-    stealers: Vec<Stealer<Node>>,
-    /// Frontier nodes created but not yet fully expanded (the root counts
-    /// as 1). A worker adds its children *before* retiring their parent
-    /// ([`StealPool::node_done`]), so `live` can only reach zero when no
-    /// node exists anywhere — in a deque, in flight, or being expanded —
-    /// which is exactly the termination condition. Workers that bail out
-    /// early (stop flag, interrupt, panic) leave `live` non-zero and
-    /// terminate through the stop flag instead.
-    live: AtomicU64,
-    /// Workers currently parked; producers only bother notifying when > 0.
-    idlers: AtomicUsize,
-    park: Mutex<()>,
-    unpark: Condvar,
-}
-
-impl StealPool {
-    /// Raises the stop flag and wakes every parked worker.
-    fn stop(&self, stats: &SharedStats) {
-        stats.stop.store(true, Ordering::Relaxed);
-        // Taking the lock orders this notify after any in-progress park
-        // decision, so nobody can sleep through the stop for more than the
-        // park timeout.
-        let _guard = self
-            .park
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.unpark.notify_all();
+/// The parallel workers' sink: shared atomics, so every worker reports
+/// into the same counters.
+impl Sink for &SharedStats {
+    fn stop_raised(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
     }
 
-    /// Retires one fully-expanded node; the last retirement ends the search.
-    fn node_done(&self, stats: &SharedStats) {
-        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.stop(stats);
+    /// On exhaustion also raises the stop flag; the calling worker then
+    /// wakes the queue's sleepers.
+    fn take_transition(&mut self, max: u64) -> bool {
+        if max == 0 {
+            self.transitions.fetch_add(1, Ordering::Relaxed);
+            return true;
         }
-    }
-
-    /// The idle path of a worker's scheduling loop: local pop, then
-    /// round-robin stealing, then a bounded park. Returns `None` when the
-    /// search is over.
-    fn next_node(
-        &self,
-        index: usize,
-        deque: &WorkDeque<Node>,
-        stats: &SharedStats,
-    ) -> Option<Node> {
+        let mut current = self.transitions.load(Ordering::Relaxed);
         loop {
-            if stats.stop.load(Ordering::Relaxed) {
-                return None;
+            if current >= max {
+                self.truncated.store(true, Ordering::Relaxed);
+                self.stop.store(true, Ordering::Relaxed);
+                return false;
             }
-            if let Some(node) = deque.pop() {
-                return Some(node);
+            match self.transitions.compare_exchange_weak(
+                current,
+                current + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(observed) => current = observed,
             }
-            if let Some(node) = self.try_steal(index, deque, stats) {
-                return Some(node);
-            }
-            if self.live.load(Ordering::Acquire) == 0 {
-                // The last node was retired between our pop and now.
-                self.stop(stats);
-                return None;
-            }
-            self.idlers.fetch_add(1, Ordering::Relaxed);
-            let guard = self
-                .park
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            drop(self.unpark.wait_timeout(guard, PARK_TIMEOUT));
-            self.idlers.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Tries each sibling round-robin, starting after `index`. On a hit,
-    /// migrates up to half of the victim's *remaining* deque into the
-    /// thief's own (steal-half: one successful steal rebalances whole
-    /// subtrees, so thieves then run locally instead of coming back per
-    /// node) before returning the first stolen node.
-    fn try_steal(
-        &self,
-        index: usize,
-        deque: &WorkDeque<Node>,
-        stats: &SharedStats,
-    ) -> Option<Node> {
-        let n = self.stealers.len();
-        for offset in 1..n {
-            let victim = &self.stealers[(index + offset) % n];
-            loop {
-                match victim.steal() {
-                    Steal::Success(node) => {
-                        stats.work_steals.fetch_add(1, Ordering::Relaxed);
-                        let extra = victim.len() / 2;
-                        for _ in 0..extra {
-                            match victim.steal() {
-                                Steal::Success(more) => {
-                                    stats.work_steals.fetch_add(1, Ordering::Relaxed);
-                                    deque.push(more);
-                                }
-                                Steal::Retry | Steal::Empty => break,
-                            }
-                        }
-                        return Some(node);
-                    }
-                    // Lost a race: the victim demonstrably has (or had)
-                    // work, so retry it rather than moving on.
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
+    fn count(&mut self, counter: Counter, n: u64) {
+        let cell = match counter {
+            Counter::UniqueStates => &self.unique_states,
+            Counter::TerminalStates => &self.terminal_states,
+            Counter::PrunedByStrategy => &self.pruned_by_strategy,
+            Counter::PrunedByPor => &self.pruned_by_por,
+            Counter::DedupHits => &self.dedup_hits,
+            Counter::Fault(index) => &self.faults[index],
+        };
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn reach_depth(&mut self, depth: usize) {
+        self.max_depth.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    fn truncate(&mut self) {
+        self.truncated.store(true, Ordering::Relaxed);
+    }
+
+    fn totals(&self) -> (u64, u64) {
+        (
+            self.transitions.load(Ordering::Relaxed),
+            self.unique_states.load(Ordering::Relaxed),
+        )
+    }
+
+    fn record(&mut self, violation: Violation) {
+        self.violations
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(violation);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Donation scheduler state
+// Donation queue
 // ---------------------------------------------------------------------------
 
 /// The donation frontier queue plus the bookkeeping its termination
@@ -1409,10 +818,8 @@ struct Frontier {
     stop: bool,
 }
 
-/// The legacy work-donation scheduler: one mutex-protected LIFO frontier
-/// that busy workers donate to only when a sibling is starving. Kept
-/// selectable ([`SchedulerKind::Donation`]) as the baseline the
-/// work-stealing scheduler is benchmarked against.
+/// The parallel scheduler: one mutex-protected LIFO frontier that busy
+/// workers donate to only when a sibling is starving.
 struct DonationQueue {
     workers: usize,
     frontier: Mutex<Frontier>,
@@ -1554,23 +961,39 @@ mod tests {
 
     #[test]
     fn exhaustive_and_replay_storage_agree() {
-        let scenario = testutil::hub_ping_scenario(2);
-        let full = ModelChecker::new(scenario.clone(), CheckerConfig::default()).run();
-        let replay = ModelChecker::new(
-            scenario,
-            CheckerConfig::default().with_state_storage(StateStorage::Replay),
-        )
-        .run();
-        assert_eq!(full.passed(), replay.passed());
-        assert_eq!(full.stats.transitions, replay.stats.transitions);
-        assert_eq!(full.stats.unique_states, replay.stats.unique_states);
+        // An exhaustive search that keeps going past violations: every
+        // interval must find the same violations along the same traces.
+        let scenario = testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 1);
+        let exhaustive = CheckerConfig::default().with_stop_at_first(false);
+        let full = ModelChecker::new(scenario.clone(), exhaustive.clone()).run();
+        assert!(!full.passed());
+        for interval in testutil::CHECKPOINT_INTERVALS {
+            let report = ModelChecker::new(
+                scenario.clone(),
+                exhaustive.clone().with_checkpoint_interval(interval),
+            )
+            .run();
+            assert_eq!(full.passed(), report.passed(), "interval {interval}");
+            assert_eq!(
+                full.stats.transitions, report.stats.transitions,
+                "interval {interval}"
+            );
+            assert_eq!(
+                full.stats.unique_states, report.stats.unique_states,
+                "interval {interval}"
+            );
+            let traces = |r: &CheckReport| -> Vec<Trace> {
+                r.violations.iter().map(|v| v.trace.clone()).collect()
+            };
+            assert_eq!(traces(&full), traces(&report), "interval {interval}");
+        }
     }
 
     #[test]
     fn checkpoint_storage_agrees_with_full_at_every_cadence() {
         let scenario = testutil::hub_ping_scenario(2);
         let full = ModelChecker::new(scenario.clone(), CheckerConfig::default()).run();
-        for interval in [1, 2, 3, 5, 64] {
+        for interval in testutil::CHECKPOINT_INTERVALS {
             let checkpointed = ModelChecker::new(
                 scenario.clone(),
                 CheckerConfig::default().with_checkpoint_interval(interval),
@@ -1871,30 +1294,26 @@ mod tests {
                 .with_reduction(crate::scenario::ReductionKind::Por),
         )
         .run();
-        for storage in [
-            StateStorage::Replay,
-            StateStorage::Checkpoint { interval: 2 },
-            StateStorage::Checkpoint { interval: 5 },
-        ] {
+        for interval in testutil::CHECKPOINT_INTERVALS {
             let checkpointed = ModelChecker::new(
                 scenario.clone(),
                 CheckerConfig::default()
                     .with_stop_at_first(false)
                     .with_reduction(crate::scenario::ReductionKind::Por)
-                    .with_state_storage(storage),
+                    .with_checkpoint_interval(interval),
             )
             .run();
             assert_eq!(
                 reference.stats.transitions, checkpointed.stats.transitions,
-                "{storage:?}"
+                "interval {interval}"
             );
             assert_eq!(
                 reference.stats.unique_states, checkpointed.stats.unique_states,
-                "{storage:?}"
+                "interval {interval}"
             );
             assert_eq!(
                 reference.stats.pruned_by_por, checkpointed.stats.pruned_by_por,
-                "{storage:?}"
+                "interval {interval}"
             );
         }
     }

@@ -10,8 +10,8 @@
 //!
 //! * [`scenario`] — what to check: topology, controller application, host
 //!   models, how clients choose packets (scripted or symbolically
-//!   discovered), and the checker configuration (strategy, bounds, state
-//!   storage, switch-model options).
+//!   discovered), and the checker configuration (strategy, bounds,
+//!   checkpoint interval, switch-model options).
 //! * [`faults`] — the [`faults::FaultPlan`]: which faults (channel drops /
 //!   duplicates / reorders, switch crashes, controller failover, Byzantine
 //!   OpenFlow mutations) the checker may inject, under a bounded budget.
@@ -25,8 +25,10 @@
 //!   the reduction is built on.
 //! * [`properties`] — the correctness-property library of Section 5.2 plus
 //!   the trait for application-specific properties.
-//! * [`checker`] — the depth-first search loop of Figure 5, violation
-//!   traces, search statistics, and a random-walk simulation mode.
+//! * [`checker`] — the sequential and parallel search engines of Figure 5,
+//!   violation traces, search statistics, and a random-walk simulation
+//!   mode. Every engine expands nodes with the one expansion step in the
+//!   private `expand` module.
 //! * [`explored`] — tiered explored-set storage behind the
 //!   [`ExploredStore`] trait: packed in-memory tables, cold-shard spill to
 //!   disk behind a bloom filter, and lossy SPIN-style bitstate hashing,
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod checker;
+mod expand;
 pub mod explored;
 pub mod faults;
 pub mod jsonv;
@@ -82,8 +85,7 @@ pub use properties::{
 };
 pub use replay::{ReplayOutcome, ReplayReport, ReplayViolation};
 pub use scenario::{
-    CheckerConfig, ReductionKind, Scenario, ScenarioBuilder, SchedulerKind, SendPolicy,
-    StateStorage, StrategyKind,
+    CheckerConfig, ReductionKind, Scenario, ScenarioBuilder, SendPolicy, StrategyKind,
 };
 pub use session::{
     CancelToken, CheckEvent, CheckObserver, CheckSession, InterruptReason, NoopObserver, Outcome,

@@ -20,19 +20,16 @@
 //! construction, not by parallel maintenance.
 //!
 //! Injected states are rebuilt by replaying their trace from the initial
-//! state (the Section 6 replay storage mode, independent of the shard's
-//! own [`StateStorage`](crate::scenario::StateStorage) configuration for
-//! locally-generated nodes). Replays do not count as explored transitions,
+//! state (the Section 6 replay mode, independent of the shard's own
+//! [`checkpoint_interval`](crate::scenario::CheckerConfig::checkpoint_interval)
+//! for locally-generated nodes). Replays do not count as explored transitions,
 //! exactly as in checkpoint/replay storage.
 
-use crate::checker::{CheckReport, ModelChecker, Node, Snapshot};
-use crate::explored::{build_store, ExploredStore, Visit};
-use crate::properties::Event;
+use crate::checker::{CheckReport, ModelChecker};
+use crate::expand::{admit, Expander, Node, Snapshot};
+use crate::explored::{build_store, ExploredStore};
 use crate::session::SessionCtrl;
-use crate::state::SystemState;
-use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy};
-use crate::transition::{enabled_transitions, DiscoveryMemo, Transition};
-use std::sync::Arc;
+use crate::transition::{DiscoveryMemo, Transition};
 use std::time::Instant;
 
 /// Maps a state fingerprint to its owning shard.
@@ -116,21 +113,14 @@ pub enum StepOutcome {
 /// One shard of a (possibly distributed) depth-first search. See the
 /// [module docs](self) for the ownership/forwarding contract.
 pub struct ShardedSearch<'a> {
-    checker: &'a ModelChecker,
-    shard: ShardSpec,
-    strategy: Box<dyn SearchStrategy>,
-    reduction: Box<dyn Reduction>,
-    memo: DiscoveryMemo,
+    expander: Expander<'a>,
     report: CheckReport,
     /// The shard's explored set, in whatever storage mode
     /// [`CheckerConfig::explored`](crate::scenario::CheckerConfig) selects —
     /// a `nice serve` worker running a tiered store spills to disk exactly
     /// like a local run would.
     explored: Box<dyn ExploredStore>,
-    root: Arc<Snapshot>,
     stack: Vec<Node>,
-    events: Vec<Event>,
-    forwards: Vec<FrontierExport>,
     stopped: bool,
     start: Instant,
 }
@@ -140,45 +130,29 @@ impl<'a> ShardedSearch<'a> {
     /// owns its fingerprint only; every other shard starts idle.
     pub fn new(checker: &'a ModelChecker, shard: ShardSpec) -> Self {
         let start = Instant::now();
-        let scenario = checker.scenario();
-        let initial_state = SystemState::initial(scenario);
-        let initial_fingerprint = initial_state.fingerprint();
-        let root = Arc::new(Snapshot {
-            state: initial_state,
-            properties: scenario.properties.clone(),
-        });
+        let (root, initial_fingerprint) = Snapshot::initial(checker);
         let mut search = ShardedSearch {
-            checker,
-            shard,
-            strategy: build_strategy(checker.config().strategy),
-            reduction: build_reduction(checker.config().reduction),
-            memo: DiscoveryMemo::default(),
+            expander: Expander::new(checker, root, shard, DiscoveryMemo::default()),
             report: CheckReport::default(),
             explored: build_store(&checker.config().explored),
-            root,
             stack: Vec::new(),
-            events: Vec::new(),
-            forwards: Vec::new(),
             stopped: false,
             start,
         };
         if shard.owns(initial_fingerprint) {
             search.explored.visit(initial_fingerprint, &[]);
             search.report.stats.unique_states = 1;
-            search.stack.push(Node {
-                base: Arc::clone(&search.root),
-                base_depth: 0,
-                trace: Vec::new(),
-                sleep: Vec::new(),
-                revisit: false,
-            });
+            let root = &search.expander.root;
+            search
+                .stack
+                .push(Node::from_root(root, Vec::new(), Vec::new(), false));
         }
         search
     }
 
     /// The shard this search owns.
     pub fn shard(&self) -> ShardSpec {
-        self.shard
+        self.expander.shard
     }
 
     /// The report accumulated so far (stats and violations grow as the
@@ -206,7 +180,7 @@ impl<'a> ShardedSearch<'a> {
 
     /// Drains the states exported for other shards since the last call.
     pub fn take_forwards(&mut self) -> Vec<FrontierExport> {
-        std::mem::take(&mut self.forwards)
+        std::mem::take(&mut self.expander.forwards)
     }
 
     /// Accepts a state exported by a peer shard. Returns true if the state
@@ -215,44 +189,22 @@ impl<'a> ShardedSearch<'a> {
     /// counted exactly as a locally re-reached state would be), not owned
     /// by this shard, or the search has stopped.
     pub fn inject(&mut self, export: FrontierExport) -> bool {
-        if self.stopped || !self.shard.owns(export.fingerprint) {
+        if self.stopped || !self.shard().owns(export.fingerprint) {
             return false;
         }
-        let mut digests: Vec<u64> = export.sleep.iter().map(Transition::digest).collect();
-        digests.sort_unstable();
-        digests.dedup();
-        match self.explored.visit(export.fingerprint, &digests) {
-            Visit::New => {
-                self.report.stats.unique_states += 1;
-                self.stack.push(Node {
-                    base: Arc::clone(&self.root),
-                    base_depth: 0,
-                    trace: export.trace,
-                    sleep: export.sleep,
-                    revisit: false,
-                });
-                true
-            }
-            Visit::Known => {
-                self.report.stats.dedup_hits += 1;
-                false
-            }
-            Visit::Widen(narrowed) => {
-                let sleep: Vec<Transition> = export
-                    .sleep
-                    .into_iter()
-                    .filter(|t| narrowed.binary_search(&t.digest()).is_ok())
-                    .collect();
-                self.stack.push(Node {
-                    base: Arc::clone(&self.root),
-                    base_depth: 0,
-                    trace: export.trace,
-                    sleep,
-                    revisit: true,
-                });
-                true
-            }
-        }
+        let admitted = admit(
+            self.explored.as_ref(),
+            export.fingerprint,
+            export.sleep,
+            &mut self.report,
+        );
+        let Some((sleep, revisit)) = admitted else {
+            return false;
+        };
+        let root = &self.expander.root;
+        self.stack
+            .push(Node::from_root(root, export.trace, sleep, revisit));
+        true
     }
 
     /// Pops and expands one frontier node (depth-first). Successors owned
@@ -264,184 +216,38 @@ impl<'a> ShardedSearch<'a> {
 
     /// [`ShardedSearch::step`] under a session's control handles: the
     /// sequential engine routes interruption, progress heartbeats and live
-    /// violation events through `ctrl`. This is the *only* expansion loop —
-    /// `ModelChecker`'s sequential search is a solo-shard driver around it.
+    /// violation events through `ctrl`. The expansion itself is
+    /// [`Expander::expand`], the one loop every engine shares:
+    /// `ModelChecker`'s sequential search is a solo-shard driver around
+    /// this, and each parallel worker calls `expand` on its own stack.
     pub(crate) fn step_ctrl(&mut self, ctrl: Option<&SessionCtrl>) -> StepOutcome {
         if self.stopped {
             return StepOutcome::Stopped;
         }
-        if let Some(ctrl) = ctrl {
-            if ctrl.check_interrupt().is_some() {
-                self.stopped = true;
-                return StepOutcome::Stopped;
-            }
+        if ctrl.is_some_and(|ctrl| ctrl.check_interrupt().is_some()) {
+            self.stopped = true;
+            return StepOutcome::Stopped;
         }
         let Some(node) = self.stack.pop() else {
             return StepOutcome::Idle;
         };
-        let checker = self.checker;
-        let config = checker.config();
-        let report = &mut self.report;
-        report.stats.max_depth = report.stats.max_depth.max(node.trace.len());
-
-        let revisit = node.revisit;
-        let parent_base = checker.parent_base(&node);
-        let (state, properties, trace, sleep) =
-            checker.materialize(node, self.strategy.as_ref(), &mut self.memo);
-
-        let enabled = enabled_transitions(&state, checker.scenario(), config);
-        let enabled_count = enabled.len();
-        let enabled = self.strategy.select(&state, enabled);
-        report.stats.pruned_by_strategy += (enabled_count - enabled.len()) as u64;
-
-        if enabled.is_empty() {
-            // A widened revisit of a terminal state was already counted
-            // (and final-checked) on its first visit.
-            if !revisit {
-                report.stats.terminal_states += 1;
-                for property in &properties {
-                    if let Some(message) = property.check_final(&state) {
-                        checker.record_violation(report, property.name(), message, &trace, None);
-                        if let Some(ctrl) = ctrl {
-                            ctrl.notify_violation(report.violations.last().unwrap());
-                        }
-                        if config.stop_at_first_violation {
-                            self.stopped = true;
-                            return StepOutcome::Stopped;
-                        }
-                    }
-                }
-            }
-            return StepOutcome::Expanded;
+        let explored = self.explored.as_ref();
+        if self
+            .expander
+            .expand(node, explored, &mut self.stack, &mut self.report, ctrl)
+        {
+            StepOutcome::Expanded
+        } else {
+            self.stopped = true;
+            StepOutcome::Stopped
         }
-
-        if trace.len() >= config.max_depth {
-            report.stats.truncated = true;
-            return StepOutcome::Expanded;
-        }
-
-        let choice = self
-            .reduction
-            .select(&state, checker.scenario(), enabled, &sleep);
-        report.stats.pruned_by_por += choice.pruned;
-        let mut child_sleeps =
-            self.reduction
-                .child_sleeps(&state, checker.scenario(), &choice.explore, &sleep);
-
-        for (index, transition) in choice.explore.into_iter().enumerate() {
-            if config.max_transitions > 0 && report.stats.transitions >= config.max_transitions {
-                report.stats.truncated = true;
-                self.stopped = true;
-                return StepOutcome::Stopped;
-            }
-
-            let (next_state, next_properties, violations) = checker.step_transition(
-                &state,
-                &properties,
-                &transition,
-                self.strategy.as_ref(),
-                &mut self.memo,
-                &mut self.events,
-            );
-            report.stats.transitions += 1;
-            report.stats.faults.record(&transition);
-            if let Some(ctrl) = ctrl {
-                ctrl.maybe_progress(
-                    report.stats.transitions,
-                    report.stats.unique_states,
-                    trace.len() + 1,
-                    self.explored.bytes(),
-                );
-            }
-
-            let violated = !violations.is_empty();
-            for (property, message) in violations {
-                checker.record_violation(report, &property, message, &trace, Some(&transition));
-                if let Some(ctrl) = ctrl {
-                    ctrl.notify_violation(report.violations.last().unwrap());
-                }
-            }
-            if violated {
-                if config.stop_at_first_violation {
-                    self.stopped = true;
-                    return StepOutcome::Stopped;
-                }
-                // Do not explore past a violating state: the trace is the
-                // shortest continuation through this branch and deeper
-                // states would just repeat the same violation.
-                continue;
-            }
-
-            let child_sleep = std::mem::take(&mut child_sleeps[index]);
-            let fingerprint = next_state.fingerprint();
-            if !self.shard.owns(fingerprint) {
-                // Another shard owns this state: export it instead of
-                // exploring (or deduplicating) it here. The owner performs
-                // the visit, so the global unique/dedup accounting matches
-                // the sequential engine's exactly.
-                let mut child_trace = trace.clone();
-                child_trace.push(transition.clone());
-                self.forwards.push(FrontierExport {
-                    fingerprint,
-                    trace: child_trace,
-                    sleep: child_sleep,
-                });
-                continue;
-            }
-            let mut child_digests: Vec<u64> = child_sleep.iter().map(Transition::digest).collect();
-            child_digests.sort_unstable();
-            child_digests.dedup();
-
-            match self.explored.visit(fingerprint, &child_digests) {
-                Visit::New => {
-                    report.stats.unique_states += 1;
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    self.stack.push(checker.make_node(
-                        &self.root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        child_sleep,
-                    ));
-                }
-                Visit::Known => {
-                    report.stats.dedup_hits += 1;
-                }
-                Visit::Widen(narrowed) => {
-                    // The state was explored before, but with stronger
-                    // pruning than this path justifies: re-expand it
-                    // with the narrowed sleep set so nothing reachable
-                    // only through the previously pruned transitions is
-                    // missed.
-                    let narrowed_sleep: Vec<Transition> = child_sleep
-                        .into_iter()
-                        .filter(|t| narrowed.binary_search(&t.digest()).is_ok())
-                        .collect();
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    let mut node = checker.make_node(
-                        &self.root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        narrowed_sleep,
-                    );
-                    node.revisit = true;
-                    self.stack.push(node);
-                }
-            }
-        }
-        StepOutcome::Expanded
     }
 
     /// Finalizes and returns the shard's report (duration, symbolic
     /// execution count).
     pub fn finish(self) -> CheckReport {
         let mut report = self.report;
-        report.stats.symbolic_executions = self.memo.symbolic_executions;
+        report.stats.symbolic_executions = self.expander.memo.symbolic_executions;
         report.stats.absorb_explored(self.explored.stats());
         report.lossy = self.explored.lossy();
         report.stats.duration = self.start.elapsed();

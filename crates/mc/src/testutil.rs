@@ -145,6 +145,11 @@ impl ControllerApp for DstOnlyLearningApp {
     }
 }
 
+/// The checkpoint intervals the storage-equivalence tests sweep: every
+/// state snapshotted (`1`), several replay cadences, and replay from the
+/// initial state (`usize::MAX`).
+pub const CHECKPOINT_INTERVALS: [usize; 7] = [1, 2, 3, 4, 5, 7, usize::MAX];
+
 /// The layer-2 ping workload of Section 7 on the Figure 1 topology (host A —
 /// switch 1 — switch 2 — host B) with the [`HubApp`] controller: host 1 sends
 /// `pings` ping packets, host 2 echoes each of them.

@@ -2,8 +2,9 @@
 //! public API on real application scenarios:
 //!
 //! (a) repeated runs of the same configuration agree bit-for-bit,
-//! (b) all frontier-storage modes (full, replay, checkpointed replay)
-//!     reconstruct the same search, and
+//! (b) every checkpoint interval (snapshot every state, replay from a
+//!     checkpoint, replay from the initial state) reconstructs the same
+//!     search, and
 //! (c) the parallel engine visits the same state space as the sequential
 //!     one and finds the same set of violated properties (order-insensitive;
 //!     traces may differ because workers race to discover states).
@@ -41,39 +42,32 @@ fn repeated_runs_are_identical() {
 
 #[test]
 fn storage_modes_reconstruct_the_same_search() {
-    // A passing scenario explored exhaustively: every storage mode must see
-    // exactly the same states and transitions.
-    let scenario = || bug_scenario(BugId::BugIX);
-    let configs = [
-        CheckerConfig::default(),
-        CheckerConfig::default().with_state_storage(StateStorage::Replay),
-        CheckerConfig::default().with_state_storage(StateStorage::Checkpoint { interval: 4 }),
-        CheckerConfig::default().with_state_storage(StateStorage::Checkpoint { interval: 7 }),
-    ];
-    let reports: Vec<CheckReport> = configs
-        .into_iter()
-        .map(|config| {
-            Nice::new(scenario())
-                .with_config(config)
-                .with_max_transitions(100_000)
-                .check()
-        })
-        .collect();
-    let baseline = &reports[0];
+    // The search up to BUG-IX's first violation: every checkpoint interval
+    // must see exactly the same states and transitions and the same trace.
+    let run = |interval: usize| {
+        Nice::new(bug_scenario(BugId::BugIX))
+            .with_checkpoint_interval(interval)
+            .with_max_transitions(100_000)
+            .check()
+    };
+    let baseline = Nice::new(bug_scenario(BugId::BugIX))
+        .with_max_transitions(100_000)
+        .check();
     assert!(!baseline.passed(), "BUG-IX must be found");
-    for (i, report) in reports.iter().enumerate().skip(1) {
+    for interval in nice::mc::testutil::CHECKPOINT_INTERVALS {
+        let report = run(interval);
         assert_eq!(
             baseline.stats.transitions, report.stats.transitions,
-            "config {i}"
+            "interval {interval}"
         );
         assert_eq!(
             baseline.stats.unique_states, report.stats.unique_states,
-            "config {i}"
+            "interval {interval}"
         );
         assert_eq!(
             baseline.first_violation().map(|v| v.trace.clone()),
             report.first_violation().map(|v| v.trace.clone()),
-            "config {i}"
+            "interval {interval}"
         );
     }
 }

@@ -46,12 +46,17 @@ fn replay_storage_matches_full_storage_through_public_api() {
     let full = Nice::new(bug_scenario(BugId::BugIV))
         .with_max_transitions(100_000)
         .check();
-    let replay = Nice::new(bug_scenario(BugId::BugIV))
-        .with_max_transitions(100_000)
-        .with_state_storage(StateStorage::Replay)
-        .check();
-    assert_eq!(full.passed(), replay.passed());
-    assert_eq!(full.stats.unique_states, replay.stats.unique_states);
+    for interval in nice::mc::testutil::CHECKPOINT_INTERVALS {
+        let replay = Nice::new(bug_scenario(BugId::BugIV))
+            .with_max_transitions(100_000)
+            .with_checkpoint_interval(interval)
+            .check();
+        assert_eq!(full.passed(), replay.passed(), "interval {interval}");
+        assert_eq!(
+            full.stats.unique_states, replay.stats.unique_states,
+            "interval {interval}"
+        );
+    }
 }
 
 #[test]
