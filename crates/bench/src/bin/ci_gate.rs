@@ -21,11 +21,12 @@
 //! Regenerate the committed baseline with
 //! `cargo run --release -p nice-bench --bin ci_gate -- --out bench/baseline.json`.
 
-use nice_bench::jsonv::{validate_json, validate_trace_json};
 use nice_bench::{
     chain_fault_workload, chain_ping_workload, engine_configs, exhaustive, load_balancer_workload,
 };
 use nice_dist::{Coordinator, JobSpec};
+use nice_mc::json::{self, Json, ObjRef};
+use nice_mc::jsonv::{validate_json, validate_trace_json};
 use nice_mc::{CheckerConfig, ExploredMode, ModelChecker, Scenario};
 
 /// One engine's measurements on one workload.
@@ -204,34 +205,27 @@ fn render_json(profiles: &[Profile]) -> String {
     out
 }
 
-/// Minimal extraction for the gate's own JSON shape: finds the object for
-/// `(scenario, engine)` and pulls numeric fields out of it. Not a general
-/// JSON parser — it only has to read what `render_json` writes.
-fn baseline_lookup<'a>(baseline: &'a str, scenario: &str, engine: &str) -> Option<&'a str> {
-    let scen_pos = baseline.find(&format!("\"scenario\": \"{scenario}\""))?;
-    let tail = &baseline[scen_pos..];
-    // Stay within this scenario block: stop at the next "scenario" key.
-    let block_end = tail[1..]
-        .find("\"scenario\"")
-        .map(|i| i + 1)
-        .unwrap_or(tail.len());
-    let block = &tail[..block_end];
-    let eng_pos = block.find(&format!("\"name\": \"{engine}\""))?;
-    let row = &block[eng_pos..];
-    let row_end = row.find('}').unwrap_or(row.len());
-    Some(&row[..row_end])
+/// The baseline row of engine `engine` in profile `scenario`.
+fn baseline_row<'a>(baseline: &'a Json, scenario: &str, engine: &str) -> Option<ObjRef<'a>> {
+    let named = |items: &'a [Json], key: &str, name: &str| {
+        items
+            .iter()
+            .filter_map(Json::as_obj)
+            .find(|o| o.get(key).and_then(Json::as_str) == Some(name))
+    };
+    let profiles = baseline.as_obj()?.get("profiles")?.as_arr()?;
+    let engines = named(profiles, "scenario", scenario)?
+        .get("engines")?
+        .as_arr()?;
+    named(engines, "name", engine)
 }
 
-fn numeric_field(row: &str, key: &str) -> Option<f64> {
-    let pos = row.find(&format!("\"{key}\":"))?;
-    let rest = row[pos..].split(':').nth(1)?;
-    rest.trim()
-        .trim_end_matches(',')
-        .split([',', '}'])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
+/// A numeric field of a baseline row (rates are fractional).
+fn number(row: ObjRef<'_>, key: &str) -> Option<f64> {
+    match row.get(key)? {
+        Json::Num(raw) => raw.parse().ok(),
+        _ => None,
+    }
 }
 
 fn main() {
@@ -371,13 +365,15 @@ fn main() {
     };
     let baseline = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
+    let baseline = json::parse(&baseline)
+        .unwrap_or_else(|e| panic!("baseline {baseline_path} is not valid JSON: {e}"));
 
     // Relative rates shift with core count (the parallel legs especially),
     // so a baseline measured on different hardware cannot gate throughput:
     // downgrade the rate leg to a warning until the baseline is
     // regenerated on matching hardware. Transition counts are
     // deterministic and are always gated.
-    let baseline_cores = numeric_field(&baseline, "cores").map(|c| c as usize);
+    let baseline_cores = baseline.as_obj().and_then(|o| o.int::<usize>("cores").ok());
     let rates_comparable = baseline_cores == Some(core_count());
     if !rates_comparable {
         println!(
@@ -392,15 +388,15 @@ fn main() {
     let mut failures = Vec::new();
     for p in &profiles {
         for e in &p.engines {
-            let Some(row) = baseline_lookup(&baseline, &p.scenario, &e.name) else {
+            let Some(row) = baseline_row(&baseline, &p.scenario, &e.name) else {
                 failures.push(format!(
                     "{} / {}: missing from baseline {baseline_path}",
                     p.scenario, e.name
                 ));
                 continue;
             };
-            let base_transitions = numeric_field(row, "transitions").expect("baseline transitions");
-            let base_rel = numeric_field(row, "relative_rate").expect("baseline relative_rate");
+            let base_transitions = number(row, "transitions").expect("baseline transitions");
+            let base_rel = number(row, "relative_rate").expect("baseline relative_rate");
             if e.transitions as f64 > base_transitions * TRANSITIONS_TOLERANCE {
                 failures.push(format!(
                     "{} / {}: transitions regressed {} -> {} (>{:.0}% headroom)",

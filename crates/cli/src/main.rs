@@ -25,8 +25,8 @@
 //!   one lane per switch/host/controller.
 //! * `nice validate-json` — reads stdin and exits non-zero unless it is one
 //!   well-formed JSON value (what CI pipes `--json` output through); input
-//!   self-identifying as `nice-trace-v1` is additionally parsed as a typed
-//!   trace.
+//!   whose top-level `"schema"` is `nice-trace-v1` is additionally parsed
+//!   as a typed trace.
 //!
 //! Every emitted JSON document is self-checked with the same validator
 //! before it is printed, so the CLI can never ship what `validate-json`
@@ -36,7 +36,8 @@ mod serve;
 
 use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind};
 use nice_apps::workloads::resolve;
-use nice_bench::jsonv::{escape_json, validate_json, validate_trace_json};
+use nice_mc::json;
+use nice_mc::jsonv::{escape_json, validate_json, validate_trace_json};
 use nice_mc::{
     render_timeline, CheckEvent, CheckReport, CheckerConfig, ExploredMode, ModelChecker,
     ReductionKind, Scenario, StrategyKind, Trace, TRACE_SCHEMA,
@@ -844,14 +845,22 @@ fn render_sweep_json(
 /// resolved by the trace's own scenario name, with
 /// fault injection matching the recorded engine (so fault transitions in
 /// BUG-XII traces replay).
-fn load_trace(path: &str) -> Result<(Trace, ModelChecker), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let trace = Trace::from_json(&text).map_err(|e| format!("'{path}': {e}"))?;
+/// Reads a trace file and builds the checker to replay it on. Errors carry
+/// the exit code: 1 for a document that is not a valid trace (the input is
+/// rejected, as `validate-json` would), 2 for an unreadable file or an
+/// unknown scenario.
+fn load_trace(path: &str) -> Result<(Trace, ModelChecker), (i32, String)> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| (2, format!("cannot read '{path}': {e}")))?;
+    let trace = Trace::from_json(&text).map_err(|e| (1, format!("'{path}': {e}")))?;
     let scenario = resolve(&trace.scenario).ok_or_else(|| {
-        format!(
-            "trace names scenario '{}', which the registry does not know \
-             (`nice list` enumerates them)",
-            trace.scenario
+        (
+            2,
+            format!(
+                "trace names scenario '{}', which the registry does not know \
+                 (`nice list` enumerates them)",
+                trace.scenario
+            ),
         )
     })?;
     let config = CheckerConfig::default()
@@ -904,9 +913,9 @@ fn cmd_replay(args: &[String]) -> i32 {
     let expect_violation = flags.iter().any(|f| f == "--expect-violation");
     let (trace, checker) = match load_trace(&path) {
         Ok(pair) => pair,
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("error: {e}");
-            return 2;
+            return code;
         }
     };
     let report = checker.replay(&trace);
@@ -940,9 +949,9 @@ fn cmd_minimize(args: &[String]) -> i32 {
     let out = values.iter().find(|(f, _)| f == "--out").map(|(_, v)| v);
     let (trace, checker) = match load_trace(&path) {
         Ok(pair) => pair,
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("error: {e}");
-            return 2;
+            return code;
         }
     };
     let report = match checker.minimize(&trace) {
@@ -984,9 +993,9 @@ fn cmd_bisect(args: &[String]) -> i32 {
     };
     let (trace, checker) = match load_trace(&path) {
         Ok(pair) => pair,
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("error: {e}");
-            return 2;
+            return code;
         }
     };
     match checker.bisect(&trace, max_explored) {
@@ -1008,9 +1017,9 @@ fn cmd_timeline(args: &[String]) -> i32 {
     };
     let (trace, checker) = match load_trace(&path) {
         Ok(pair) => pair,
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("error: {e}");
-            return 2;
+            return code;
         }
     };
     match render_timeline(&checker, &trace) {
@@ -1036,26 +1045,18 @@ fn cmd_validate_json() -> i32 {
         return 2;
     }
     // Trace documents get the stricter typed validation: well-formed JSON
-    // that also parses as a `nice-trace-v1` trace. Only the *top-level*
-    // schema key counts — a run-v3 report embeds a whole trace document,
-    // so a substring match anywhere would mis-route it here. Trace files
-    // are canonical compact JSON, so the schema key is the first key with
-    // no inner whitespace; tolerate leading whitespace and pretty spacing
-    // for hand-edited files.
-    let head: String = input
-        .trim_start()
-        .chars()
-        .take(64)
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    let is_trace = head.starts_with(&format!("{{\"schema\":\"{TRACE_SCHEMA}\""));
-    let result = if is_trace {
-        validate_trace_json(&input)
-    } else {
-        validate_json(&input)
-    };
+    // that also parses as a `nice-trace-v1` trace. Only the top-level
+    // "schema" value counts — a run report embeds a whole trace document.
+    let result = json::parse(&input).and_then(|value| {
+        let schema = value.as_obj().and_then(|o| o.get("schema")?.as_str());
+        let is_trace = schema == Some(TRACE_SCHEMA);
+        if is_trace {
+            validate_trace_json(&input)?;
+        }
+        Ok(is_trace)
+    });
     match result {
-        Ok(()) => {
+        Ok(is_trace) => {
             eprintln!(
                 "valid {} ({} bytes)",
                 if is_trace { TRACE_SCHEMA } else { "JSON" },

@@ -1,13 +1,13 @@
 //! The `nice-dist-v1` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
-//! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v1"` and a `"frame"` discriminant. Frames are
-//! hand-rolled (no serde in this offline build) and **self-validated**:
-//! [`write_frame`] runs every outgoing document through the strict
-//! [`nice_mc::jsonv`] validator before it touches the pipe, so a
-//! malformed emitter fails loudly at the sender, not as a parse error at
-//! the receiver.
+//! length of `<json>` (at most [`MAX_FRAME_BYTES`]) and `<json>` is a
+//! single-line JSON object carrying `"schema": "nice-dist-v1"` and a
+//! `"frame"` discriminant. Frames are hand-rolled (no serde in this offline
+//! build) and **self-validated**: [`write_frame`] runs every outgoing
+//! document through the strict [`nice_mc::jsonv`] validator before it
+//! touches the pipe, so a malformed emitter fails loudly at the sender,
+//! not as a parse error at the receiver.
 //!
 //! Transition sequences reuse the `nice-trace-v1` step objects
 //! ([`nice_mc::trace::steps_to_json`]), so a violation streamed by a
@@ -28,14 +28,14 @@
 //! | `job_done` | W → C | final per-shard stats + violations |
 //! | `error` | W → C | the job could not run (e.g. unknown scenario spec) |
 
+use nice_mc::json::{self, Json};
 use nice_mc::jsonv::{escape_json, validate_json};
-use nice_mc::trace::json::{Json, ObjRef};
-use nice_mc::trace::{json, steps_from_value, steps_to_json, TraceStep};
+use nice_mc::trace::{steps_from_value, steps_to_json, TraceStep};
 use nice_mc::{
     ExploredMode, FaultStats, FrontierExport, ReductionKind, SearchStats, ShardSpec, StrategyKind,
     Transition,
 };
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::time::Duration;
 
 use crate::coordinator::JobSpec;
@@ -297,28 +297,6 @@ impl Frame {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn need<'a>(obj: &ObjRef<'a>, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing '{key}'"))
-}
-
-fn need_u64(obj: &ObjRef<'_>, key: &str) -> Result<u64, String> {
-    need(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
-}
-
-fn need_bool(obj: &ObjRef<'_>, key: &str) -> Result<bool, String> {
-    need(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("'{key}' must be a boolean"))
-}
-
-fn need_str<'a>(obj: &ObjRef<'a>, key: &str) -> Result<&'a str, String> {
-    need(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' must be a string"))
-}
-
 fn transitions_from(value: &Json) -> Result<Vec<Transition>, String> {
     Ok(steps_from_value(value)?
         .into_iter()
@@ -333,81 +311,77 @@ fn exports_from(value: &Json) -> Result<Vec<FrontierExport>, String> {
     let arr = value.as_arr().ok_or("'states' must be an array")?;
     arr.iter()
         .enumerate()
-        .map(|(i, v)| {
-            let obj = v.as_obj().ok_or(format!("state {i}: not an object"))?;
-            Ok(FrontierExport {
-                fingerprint: need_u64(&obj, "fingerprint")
-                    .map_err(|e| format!("state {i}: {e}"))?,
-                trace: transitions_from(
-                    need(&obj, "steps").map_err(|e| format!("state {i}: {e}"))?,
-                )
-                .map_err(|e| format!("state {i}: {e}"))?,
-                sleep: transitions_from(
-                    need(&obj, "sleep").map_err(|e| format!("state {i}: {e}"))?,
-                )
-                .map_err(|e| format!("state {i}: {e}"))?,
-            })
-        })
+        .map(|(i, v)| export_from(v).map_err(|e| format!("state {i}: {e}")))
         .collect()
+}
+
+fn export_from(value: &Json) -> Result<FrontierExport, String> {
+    let obj = value.as_obj().ok_or("not an object")?;
+    Ok(FrontierExport {
+        fingerprint: obj.int("fingerprint")?,
+        trace: transitions_from(obj.value("steps")?)?,
+        sleep: transitions_from(obj.value("sleep")?)?,
+    })
 }
 
 fn stats_from(value: &Json) -> Result<SearchStats, String> {
     let obj = value.as_obj().ok_or("'stats' must be an object")?;
-    let faults_obj = need(&obj, "faults")?
+    let faults_obj = obj
+        .value("faults")?
         .as_obj()
         .ok_or("'faults' must be an object")?;
     let mut counts = [0u64; FaultStats::KINDS];
     for (i, (name, _)) in FaultStats::default().labeled().iter().enumerate() {
-        counts[i] = need_u64(&faults_obj, name)?;
+        counts[i] = faults_obj.int(name)?;
     }
     Ok(SearchStats {
-        transitions: need_u64(&obj, "transitions")?,
-        unique_states: need_u64(&obj, "unique_states")?,
-        terminal_states: need_u64(&obj, "terminal_states")?,
-        symbolic_executions: need_u64(&obj, "symbolic_executions")?,
-        pruned_by_strategy: need_u64(&obj, "pruned_by_strategy")?,
-        pruned_by_por: need_u64(&obj, "pruned_by_por")?,
-        dedup_hits: need_u64(&obj, "dedup_hits")?,
-        work_steals: need_u64(&obj, "work_steals")?,
-        peak_explored_bytes: need_u64(&obj, "peak_explored_bytes")?,
-        spilled_shards: need_u64(&obj, "spilled_shards")?,
-        filter_hits: need_u64(&obj, "filter_hits")?,
-        disk_probes: need_u64(&obj, "disk_probes")?,
+        transitions: obj.int("transitions")?,
+        unique_states: obj.int("unique_states")?,
+        terminal_states: obj.int("terminal_states")?,
+        symbolic_executions: obj.int("symbolic_executions")?,
+        pruned_by_strategy: obj.int("pruned_by_strategy")?,
+        pruned_by_por: obj.int("pruned_by_por")?,
+        dedup_hits: obj.int("dedup_hits")?,
+        work_steals: obj.int("work_steals")?,
+        peak_explored_bytes: obj.int("peak_explored_bytes")?,
+        spilled_shards: obj.int("spilled_shards")?,
+        filter_hits: obj.int("filter_hits")?,
+        disk_probes: obj.int("disk_probes")?,
         faults: FaultStats::from_counts(counts),
-        max_depth: need_u64(&obj, "max_depth")? as usize,
-        truncated: need_bool(&obj, "truncated")?,
-        duration: Duration::from_millis(need_u64(&obj, "duration_ms")?),
+        max_depth: obj.int("max_depth")?,
+        truncated: obj.bool("truncated")?,
+        duration: Duration::from_millis(obj.int("duration_ms")?),
     })
 }
 
 fn violation_from(value: &Json) -> Result<WireViolation, String> {
     let obj = value.as_obj().ok_or("violation must be an object")?;
     Ok(WireViolation {
-        property: need_str(&obj, "property")?.to_string(),
-        message: need_str(&obj, "message")?.to_string(),
-        steps: transitions_from(need(&obj, "steps")?)?,
+        property: obj.str("property")?.to_string(),
+        message: obj.str("message")?.to_string(),
+        steps: transitions_from(obj.value("steps")?)?,
     })
 }
 
 fn spec_from(value: &Json) -> Result<JobSpec, String> {
     let obj = value.as_obj().ok_or("'spec' must be an object")?;
-    let strategy = need_str(&obj, "strategy")?;
-    let reduction = need_str(&obj, "reduction")?;
-    let explored = need_str(&obj, "explored")?;
+    let strategy = obj.str("strategy")?;
+    let reduction = obj.str("reduction")?;
+    let explored = obj.str("explored")?;
     Ok(JobSpec {
-        scenario: need_str(&obj, "scenario")?.to_string(),
+        scenario: obj.str("scenario")?.to_string(),
         strategy: StrategyKind::parse(strategy)
             .ok_or_else(|| format!("unknown strategy '{strategy}'"))?,
         reduction: ReductionKind::parse(reduction)
             .ok_or_else(|| format!("unknown reduction '{reduction}'"))?,
-        inject_faults: need_bool(&obj, "faults")?,
-        stop_at_first_violation: need_bool(&obj, "stop_at_first")?,
-        max_transitions: need_u64(&obj, "max_transitions")?,
-        max_depth: need_u64(&obj, "max_depth")? as usize,
-        time_budget_ms: need_u64(&obj, "time_budget_ms")?,
+        inject_faults: obj.bool("faults")?,
+        stop_at_first_violation: obj.bool("stop_at_first")?,
+        max_transitions: obj.int("max_transitions")?,
+        max_depth: obj.int("max_depth")?,
+        time_budget_ms: obj.int("time_budget_ms")?,
         explored: ExploredMode::parse(explored)
             .ok_or_else(|| format!("unknown explored mode '{explored}'"))?,
-        mem_limit: need_u64(&obj, "mem_limit")?,
+        mem_limit: obj.int("mem_limit")?,
     })
 }
 
@@ -416,75 +390,77 @@ impl Frame {
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = json::parse(input)?;
         let obj = value.as_obj().ok_or("frame must be a JSON object")?;
-        let schema = need_str(&obj, "schema")?;
+        let schema = obj.str("schema")?;
         if schema != DIST_SCHEMA {
             return Err(format!("unknown schema '{schema}' (want '{DIST_SCHEMA}')"));
         }
-        let frame = need_str(&obj, "frame")?;
+        let frame = obj.str("frame")?;
         match frame {
             "job" => {
-                let shard_obj = need(&obj, "shard")?
+                let shard_obj = obj
+                    .value("shard")?
                     .as_obj()
                     .ok_or("'shard' must be an object")?;
-                let count = need_u64(&shard_obj, "count")? as u32;
-                let index = need_u64(&shard_obj, "index")? as u32;
+                let count: u32 = shard_obj.int("count")?;
+                let index: u32 = shard_obj.int("index")?;
                 if count == 0 || index >= count {
                     return Err(format!("invalid shard {index}/{count}"));
                 }
                 Ok(Frame::Job {
-                    job: need_u64(&obj, "job")?,
+                    job: obj.int("job")?,
                     shard: ShardSpec { index, count },
-                    spec: spec_from(need(&obj, "spec")?)?,
+                    spec: spec_from(obj.value("spec")?)?,
                 })
             }
             "states" => Ok(Frame::States {
-                job: need_u64(&obj, "job")?,
-                states: exports_from(need(&obj, "states")?)?,
+                job: obj.int("job")?,
+                states: exports_from(obj.value("states")?)?,
             }),
             "cancel" => Ok(Frame::Cancel {
-                job: need_u64(&obj, "job")?,
+                job: obj.int("job")?,
             }),
             "finish" => Ok(Frame::Finish {
-                job: need_u64(&obj, "job")?,
+                job: obj.int("job")?,
             }),
             "shutdown" => Ok(Frame::Shutdown),
             "hello" => Ok(Frame::Hello {
-                pid: need_u64(&obj, "pid")?,
+                pid: obj.int("pid")?,
             }),
             "forward" => Ok(Frame::Forward {
-                job: need_u64(&obj, "job")?,
-                states: exports_from(need(&obj, "states")?)?,
+                job: obj.int("job")?,
+                states: exports_from(obj.value("states")?)?,
             }),
             "progress" => Ok(Frame::Progress {
-                job: need_u64(&obj, "job")?,
-                transitions: need_u64(&obj, "transitions")?,
-                unique_states: need_u64(&obj, "unique_states")?,
-                depth: need_u64(&obj, "depth")?,
+                job: obj.int("job")?,
+                transitions: obj.int("transitions")?,
+                unique_states: obj.int("unique_states")?,
+                depth: obj.int("depth")?,
             }),
             "violation" => Ok(Frame::Violation {
-                job: need_u64(&obj, "job")?,
-                violation: violation_from(need(&obj, "violation")?)?,
+                job: obj.int("job")?,
+                violation: violation_from(obj.value("violation")?)?,
             }),
             "idle" => Ok(Frame::Idle {
-                job: need_u64(&obj, "job")?,
-                received: need_u64(&obj, "received")?,
+                job: obj.int("job")?,
+                received: obj.int("received")?,
             }),
             "job_done" => {
-                let violations = need(&obj, "violations")?
+                let violations = obj
+                    .value("violations")?
                     .as_arr()
                     .ok_or("'violations' must be an array")?
                     .iter()
                     .map(violation_from)
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Frame::JobDone {
-                    job: need_u64(&obj, "job")?,
-                    stats: stats_from(need(&obj, "stats")?)?,
+                    job: obj.int("job")?,
+                    stats: stats_from(obj.value("stats")?)?,
                     violations,
                 })
             }
             "error" => Ok(Frame::Error {
-                job: need_u64(&obj, "job")?,
-                message: need_str(&obj, "message")?.to_string(),
+                job: obj.int("job")?,
+                message: obj.str("message")?.to_string(),
             }),
             other => Err(format!("unknown frame kind '{other}'")),
         }
@@ -494,6 +470,15 @@ impl Frame {
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
+
+/// The largest frame body [`read_frame`] accepts. A length prefix above it
+/// is rejected before any of the body is read, so a corrupt or hostile
+/// peer cannot make the reader buffer without bound. The largest frames an
+/// exhaustive `chain:6:3 --dist 2` check sends are about 14 KB.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Digits a length prefix may have: `u64::MAX` has 20.
+const MAX_LEN_DIGITS: usize = 20;
 
 /// Writes one length-prefixed frame (`<len> <json>\n`) and flushes. The
 /// JSON is run through the strict [`nice_mc::jsonv`] validator first —
@@ -507,29 +492,54 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame. Returns `Ok(None)` on clean EOF (the
-/// peer closed the pipe); a truncated or corrupt frame is an
-/// `InvalidData` error.
+/// Reads one length-prefixed frame: at most 20 decimal digits and a
+/// space, then exactly that many body bytes, then `\n`.
+/// Returns `Ok(None)` on clean EOF (the peer closed the pipe); a
+/// truncated, oversized or corrupt frame is an `InvalidData` error, and no
+/// more than [`MAX_FRAME_BYTES`] + 21 bytes are read to find that out.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let line = line.trim_end_matches('\n');
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-    let (len, json) = line
-        .split_once(' ')
-        .ok_or_else(|| bad("frame missing length prefix".to_string()))?;
-    let len: usize = len
-        .parse()
-        .map_err(|_| bad(format!("bad frame length '{len}'")))?;
-    if json.len() != len {
+    let mut len: usize = 0;
+    let mut digits = 0;
+    loop {
+        match next_byte(r)? {
+            None if digits == 0 => return Ok(None),
+            Some(b' ') if digits > 0 => break,
+            Some(d @ b'0'..=b'9') if digits < MAX_LEN_DIGITS => {
+                len = len.saturating_mul(10).saturating_add(usize::from(d - b'0'));
+                digits += 1;
+            }
+            _ => {
+                return Err(bad(format!(
+                    "frame must start with a length of 1 to {MAX_LEN_DIGITS} digits and a space"
+                )))
+            }
+        }
+    }
+    if len > MAX_FRAME_BYTES {
         return Err(bad(format!(
-            "frame length mismatch: prefix says {len}, got {} bytes",
-            json.len()
+            "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    Frame::from_json(json).map(Some).map_err(bad)
+    let mut body = Vec::new();
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len || next_byte(r)? != Some(b'\n') {
+        return Err(bad(format!(
+            "frame length mismatch: the body is not the {len} bytes plus newline the prefix says"
+        )));
+    }
+    let json = String::from_utf8(body).map_err(|_| bad("frame is not UTF-8".to_string()))?;
+    Frame::from_json(&json).map(Some).map_err(bad)
+}
+
+/// One byte, or `None` at EOF.
+fn next_byte(r: &mut impl Read) -> io::Result<Option<u8>> {
+    let mut byte = [0];
+    match r.read_exact(&mut byte) {
+        Ok(()) => Ok(Some(byte[0])),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 #[cfg(test)]
@@ -664,6 +674,73 @@ mod tests {
         assert!(read_frame(&mut r).is_err(), "length mismatch must fail");
         let mut r = io::BufReader::new(&b"nolength\n"[..]);
         assert!(read_frame(&mut r).is_err());
+        let mut r = io::BufReader::new(&b"7 {\"a\":1}x"[..]);
+        assert!(
+            read_frame(&mut r).is_err(),
+            "the body must end in a newline"
+        );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(Frame::from_json(&nested).is_err());
+        let wire = format!("{} {nested}\n", nested.len());
+        let mut r = io::BufReader::new(wire.as_bytes());
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn out_of_range_shard_numbers_are_rejected_not_truncated() {
+        let job = |count: u64| {
+            Frame::Job {
+                job: 1,
+                shard: ShardSpec { index: 0, count: 1 },
+                spec: JobSpec::new("ping:1"),
+            }
+            .to_json()
+            .replace("\"count\":1", &format!("\"count\":{count}"))
+        };
+        assert!(Frame::from_json(&job(1)).is_ok());
+        // 2^32 + 1 used to decode as shard 0/1 through an `as u32` cast.
+        let err = Frame::from_json(&job((1 << 32) + 1)).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// An endless byte source that counts what it hands out.
+    struct Endless {
+        prefix: Vec<u8>,
+        fill: u8,
+        served: usize,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            for b in buf.iter_mut() {
+                *b = self.prefix.get(self.served).copied().unwrap_or(self.fill);
+                self.served += 1;
+            }
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn read_frame_bounds_what_it_reads_from_a_peer_that_never_ends_a_frame() {
+        let oversized = format!("{} ", MAX_FRAME_BYTES + 1).into_bytes();
+        for (prefix, fill) in [(Vec::new(), b'9'), (oversized, b'x')] {
+            let mut r = io::BufReader::with_capacity(
+                1,
+                Endless {
+                    prefix,
+                    fill,
+                    served: 0,
+                },
+            );
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(r.get_ref().served <= MAX_FRAME_BYTES + 21);
+        }
     }
 
     #[test]

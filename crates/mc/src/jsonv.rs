@@ -1,210 +1,29 @@
-//! A dependency-free JSON well-formedness validator.
+//! JSON validation and escaping on top of [`crate::json`].
 //!
 //! The bench gate and the `nice` CLI emit hand-rolled JSON (no serde in this
 //! offline build), which makes it easy to ship a stray comma or an unescaped
-//! quote. This module is the other half of that bargain: a strict
-//! recursive-descent checker (RFC 8259 grammar — objects, arrays, strings
-//! with escapes, numbers, literals; no trailing garbage) that `ci_gate`
-//! runs over its own output before writing it, and that
-//! `nice validate-json` applies to whatever CI pipes through it.
+//! quote. [`escape_json`] is the one escaper every emitter routes dynamic
+//! strings through, and [`validate_json`] is the strict check that
+//! `ci_gate`, the CLI and the `nice-dist-v1` writer run over their own
+//! output before it leaves the process, and that `nice validate-json`
+//! applies to whatever CI pipes through it.
 
-/// Validates that `input` is exactly one well-formed JSON value. Returns the
-/// byte offset and a message on the first error.
+use crate::json;
+
+/// Validates that `input` is exactly one well-formed JSON value, by parsing
+/// it with [`json::parse`]. Returns the byte offset and a message on the
+/// first error.
 pub fn validate_json(input: &str) -> Result<(), String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the JSON value"));
-    }
-    Ok(())
+    json::parse(input).map(drop)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> String {
-        format!("invalid JSON at byte {}: {}", self.pos, message)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.pos += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("bad escape sequence")),
-                    }
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("expected a digit")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return Err(self.err("expected a digit after '.'"));
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return Err(self.err("expected a digit in exponent"));
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-}
-
-/// Validates a `nice-trace-v1` document: it must be well-formed JSON
-/// (per [`validate_json`]) *and* parse into a typed
-/// [`crate::Trace`] — schema tag, engine block, and every step. The
-/// `ci_gate` binary runs this over the trace files it emits, and
-/// `nice validate-json` applies it whenever the input self-identifies
-/// with `"schema": "nice-trace-v1"`.
+/// Validates a `nice-trace-v1` document: it must be well-formed JSON *and*
+/// parse into a typed [`crate::Trace`] — schema tag, engine block, and
+/// every step. The `ci_gate` binary runs this over the trace files it
+/// emits, and `nice validate-json` applies it whenever the top-level
+/// `"schema"` value is `"nice-trace-v1"`.
 pub fn validate_trace_json(input: &str) -> Result<(), String> {
-    validate_json(input)?;
-    crate::Trace::from_json(input).map(|_| ())
+    crate::Trace::from_json(input).map(drop)
 }
 
 /// Escapes a string for inclusion in hand-rolled JSON output (quotes,
@@ -241,7 +60,9 @@ mod tests {
             r#"{"a": [1, 2.0, {"b": "c\nd"}], "e": null}"#,
             "  {\n  \"x\": [false]\n}\n",
             r#""é""#,
+            r#""\ud83d\ude00 \ud83d""#,
         ] {
+            assert!(json::parse(ok).is_ok(), "{ok}");
             assert!(validate_json(ok).is_ok(), "{ok}");
         }
     }
@@ -260,9 +81,17 @@ mod tests {
             "nul",
             "{} {}",
             "{\"a\": \"\u{1}\"}",
+            // Numbers the trace reader used to let through.
+            "1.",
+            "1e",
+            "-",
+            "[01]",
         ] {
+            assert!(json::parse(bad).is_err(), "{bad:?} should be rejected");
             assert!(validate_json(bad).is_err(), "{bad:?} should be rejected");
         }
+        let nested = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(validate_json(&nested).is_err());
     }
 
     #[test]
@@ -284,5 +113,10 @@ mod tests {
         let tricky = "quote \" backslash \\ newline \n tab \t bell \u{7}";
         let doc = format!("{{\"s\": \"{}\"}}", escape_json(tricky));
         assert!(validate_json(&doc).is_ok(), "{doc}");
+        let value = json::parse(&doc).expect("parses");
+        assert_eq!(
+            value.as_obj().and_then(|o| o.get("s")?.as_str()),
+            Some(tricky)
+        );
     }
 }

@@ -44,9 +44,11 @@
 //!   minimization ([`ModelChecker::minimize`]) and first-unavoidable-step
 //!   bisection ([`ModelChecker::bisect`]).
 //! * [`timeline`] — an ASCII lane-per-component renderer for traces.
-//! * [`jsonv`] — a strict, dependency-free JSON well-formedness validator
-//!   shared by the CLI, the bench gate, and the `nice-dist-v1` wire
-//!   protocol.
+//! * [`json`] — the workspace's one JSON reader: a strict, linear,
+//!   depth-bounded parser behind trace files, `nice-dist-v1` frames, the
+//!   bench gate's baseline and `nice validate-json`.
+//! * [`jsonv`] — validate/escape on top of [`json`], shared by the CLI,
+//!   the bench gate, and the `nice-dist-v1` wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as
 //!   replayable frontier nodes, the substrate of the `nice-dist`
@@ -59,6 +61,7 @@ pub mod checker;
 mod expand;
 pub mod explored;
 pub mod faults;
+pub mod json;
 pub mod jsonv;
 pub mod minimize;
 pub mod por;

@@ -14,6 +14,8 @@
 //! canonical compact line (byte-deterministic for a given trace, so CI can
 //! diff archived artifacts), [`Trace::from_json`] parses it back.
 
+use crate::json::{self, Json, ObjRef};
+use crate::jsonv::escape_json;
 use crate::scenario::{CheckerConfig, ReductionKind, StrategyKind};
 use crate::transition::Transition;
 use nice_openflow::{
@@ -193,7 +195,7 @@ impl Trace {
         out.push_str("{\"schema\":\"");
         out.push_str(TRACE_SCHEMA);
         out.push_str("\",\"scenario\":\"");
-        out.push_str(&escape(&self.scenario));
+        out.push_str(&escape_json(&self.scenario));
         out.push_str("\",\"property\":");
         push_opt_str(&mut out, self.property.as_deref());
         out.push_str(",\"message\":");
@@ -215,37 +217,18 @@ impl Trace {
     pub fn from_json(input: &str) -> Result<Self, String> {
         let value = json::parse(input)?;
         let obj = value.as_obj().ok_or("trace document must be an object")?;
-        let schema = obj
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing \"schema\"")?;
+        let schema = obj.str("schema")?;
         if schema != TRACE_SCHEMA {
             return Err(format!(
                 "unsupported trace schema '{schema}' (expected {TRACE_SCHEMA})"
             ));
         }
-        let scenario = obj
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or("missing \"scenario\"")?
-            .to_string();
-        let property = opt_str(obj.get("property"), "property")?;
-        let message = opt_str(obj.get("message"), "message")?;
-        let engine = engine_from_json(obj.get("engine").ok_or("missing \"engine\"")?)?;
-        let steps_value = obj
-            .get("steps")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"steps\" array")?;
-        let mut steps = Vec::with_capacity(steps_value.len());
-        for (i, v) in steps_value.iter().enumerate() {
-            steps.push(step_from_json(v).map_err(|e| format!("step {i}: {e}"))?);
-        }
         Ok(Trace {
-            scenario,
-            engine,
-            steps,
-            property,
-            message,
+            scenario: obj.str("scenario")?.to_string(),
+            engine: engine_from_json(obj.value("engine")?).map_err(|e| format!("engine: {e}"))?,
+            steps: steps_from_value(obj.value("steps")?)?,
+            property: opt_str(obj.get("property"), "property")?,
+            message: opt_str(obj.get("message"), "message")?,
         })
     }
 }
@@ -263,28 +246,11 @@ impl fmt::Display for Trace {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn push_opt_str(out: &mut String, value: Option<&str>) {
     match value {
         Some(s) => {
             out.push('"');
-            out.push_str(&escape(s));
+            out.push_str(&escape_json(s));
             out.push('"');
         }
         None => out.push_str("null"),
@@ -294,7 +260,7 @@ fn push_opt_str(out: &mut String, value: Option<&str>) {
 fn opt_str(value: Option<&Json>, key: &str) -> Result<Option<String>, String> {
     match value {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
+        Some(Json::Str(s)) => Ok(Some(s.to_string())),
         Some(_) => Err(format!("\"{key}\" must be a string or null")),
     }
 }
@@ -313,35 +279,17 @@ fn engine_to_json(engine: &TraceEngine) -> String {
 }
 
 fn engine_from_json(value: &Json) -> Result<TraceEngine, String> {
-    let obj = value.as_obj().ok_or("\"engine\" must be an object")?;
-    let strategy_name = obj
-        .get("strategy")
-        .and_then(Json::as_str)
-        .ok_or("engine: missing \"strategy\"")?;
-    let strategy = StrategyKind::parse(strategy_name)
-        .ok_or_else(|| format!("engine: unknown strategy '{strategy_name}'"))?;
-    let reduction_name = obj
-        .get("reduction")
-        .and_then(Json::as_str)
-        .ok_or("engine: missing \"reduction\"")?;
-    let reduction = ReductionKind::parse(reduction_name)
-        .ok_or_else(|| format!("engine: unknown reduction '{reduction_name}'"))?;
+    let obj = value.as_obj().ok_or("must be an object")?;
+    let strategy_name = obj.str("strategy")?;
+    let reduction_name = obj.str("reduction")?;
     Ok(TraceEngine {
-        strategy,
-        reduction,
-        workers: obj
-            .get("workers")
-            .and_then(Json::as_u64)
-            .ok_or("engine: missing \"workers\"")?
-            .max(1) as usize,
-        faults: obj
-            .get("faults")
-            .and_then(Json::as_bool)
-            .ok_or("engine: missing \"faults\"")?,
-        coarse_packet_processing: obj
-            .get("coarse_packet_processing")
-            .and_then(Json::as_bool)
-            .ok_or("engine: missing \"coarse_packet_processing\"")?,
+        strategy: StrategyKind::parse(strategy_name)
+            .ok_or_else(|| format!("unknown strategy '{strategy_name}'"))?,
+        reduction: ReductionKind::parse(reduction_name)
+            .ok_or_else(|| format!("unknown reduction '{reduction_name}'"))?,
+        workers: obj.int::<usize>("workers")?.max(1),
+        faults: obj.bool("faults")?,
+        coarse_packet_processing: obj.bool("coarse_packet_processing")?,
     })
 }
 
@@ -366,25 +314,20 @@ fn packet_to_json(p: &Packet) -> String {
 }
 
 fn packet_from_json(value: &Json) -> Result<Packet, String> {
-    let obj = value.as_obj().ok_or("\"packet\" must be an object")?;
-    let field = |key: &str| -> Result<u64, String> {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("packet: missing numeric \"{key}\""))
-    };
+    let obj = value.as_obj().ok_or("must be an object")?;
     Ok(Packet {
-        id: PacketId(field("id")?),
-        src_mac: MacAddr(field("src_mac")?),
-        dst_mac: MacAddr(field("dst_mac")?),
-        eth_type: EthType::from_value(field("eth_type")? as u16),
-        src_ip: NwAddr(field("src_ip")? as u32),
-        dst_ip: NwAddr(field("dst_ip")? as u32),
-        nw_proto: IpProto::from_value(field("nw_proto")? as u8),
-        src_port: field("src_port")? as u16,
-        dst_port: field("dst_port")? as u16,
-        tcp_flags: TcpFlags(field("tcp_flags")? as u8),
-        arp_op: field("arp_op")? as u8,
-        payload: field("payload")? as u32,
+        id: PacketId(obj.int("id")?),
+        src_mac: MacAddr(obj.int("src_mac")?),
+        dst_mac: MacAddr(obj.int("dst_mac")?),
+        eth_type: EthType::from_value(obj.int("eth_type")?),
+        src_ip: NwAddr(obj.int("src_ip")?),
+        dst_ip: NwAddr(obj.int("dst_ip")?),
+        nw_proto: IpProto::from_value(obj.int("nw_proto")?),
+        src_port: obj.int("src_port")?,
+        dst_port: obj.int("dst_port")?,
+        tcp_flags: TcpFlags(obj.int("tcp_flags")?),
+        arp_op: obj.int("arp_op")?,
+        payload: obj.int("payload")?,
     })
 }
 
@@ -407,17 +350,12 @@ fn stats_from_json(value: &Json) -> Result<Vec<PortStatsEntry>, String> {
     arr.iter()
         .map(|v| {
             let obj = v.as_obj().ok_or("stats entry must be an object")?;
-            let field = |key: &str| -> Result<u64, String> {
-                obj.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("stats entry: missing numeric \"{key}\""))
-            };
             Ok(PortStatsEntry {
-                port: PortId(field("port")? as u16),
-                rx_packets: field("rx_packets")?,
-                tx_packets: field("tx_packets")?,
-                rx_bytes: field("rx_bytes")?,
-                tx_bytes: field("tx_bytes")?,
+                port: PortId(obj.int("port")?),
+                rx_packets: obj.int("rx_packets")?,
+                tx_packets: obj.int("tx_packets")?,
+                rx_bytes: obj.int("rx_bytes")?,
+                tx_bytes: obj.int("tx_bytes")?,
             })
         })
         .collect()
@@ -508,88 +446,68 @@ fn step_to_json(step: &TraceStep) -> String {
 
 fn step_from_json(value: &Json) -> Result<TraceStep, String> {
     let obj = value.as_obj().ok_or("step must be an object")?;
-    let kind = obj
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("step: missing \"kind\"")?;
-    let num = |key: &str| -> Result<u64, String> {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{kind}: missing numeric \"{key}\""))
-    };
-    let switch = |key: &str| -> Result<SwitchId, String> { Ok(SwitchId(num(key)? as u32)) };
-    let host = || -> Result<HostId, String> { Ok(HostId(num("host")? as u32)) };
-    let transition = match kind {
+    let kind = obj.str("kind")?;
+    transition_from_json(kind, obj)
+        .map(TraceStep::Transition)
+        .map_err(|e| format!("{kind}: {e}"))
+}
+
+fn transition_from_json(kind: &str, obj: ObjRef<'_>) -> Result<Transition, String> {
+    let switch = || obj.int("switch").map(SwitchId);
+    let host = || obj.int("host").map(HostId);
+    let port = || obj.int("port").map(PortId);
+    Ok(match kind {
         "host_send" => Transition::HostSend {
             host: host()?,
-            packet: packet_from_json(obj.get("packet").ok_or("host_send: missing \"packet\"")?)?,
+            packet: packet_from_json(obj.value("packet")?).map_err(|e| format!("packet: {e}"))?,
         },
         "host_receive" => Transition::HostReceive { host: host()? },
         "host_move" => Transition::HostMove {
             host: host()?,
             to: Location {
-                switch: switch("switch")?,
-                port: PortId(num("port")? as u16),
+                switch: switch()?,
+                port: port()?,
             },
         },
-        "process_pkt" => Transition::ProcessPacket {
-            switch: switch("switch")?,
-        },
+        "process_pkt" => Transition::ProcessPacket { switch: switch()? },
         "process_pkt_on" => Transition::ProcessPacketOn {
-            switch: switch("switch")?,
-            port: PortId(num("port")? as u16),
+            switch: switch()?,
+            port: port()?,
         },
-        "process_of" => Transition::ProcessOf {
-            switch: switch("switch")?,
-        },
-        "ctrl_handle" => Transition::ControllerHandle {
-            switch: switch("switch")?,
-        },
+        "process_of" => Transition::ProcessOf { switch: switch()? },
+        "ctrl_handle" => Transition::ControllerHandle { switch: switch()? },
         "discover_packets" => Transition::DiscoverPackets { host: host()? },
-        "discover_stats" => Transition::DiscoverStats {
-            switch: switch("switch")?,
-        },
+        "discover_stats" => Transition::DiscoverStats { switch: switch()? },
         "process_stats" => Transition::InjectStats {
-            switch: switch("switch")?,
-            stats: stats_from_json(obj.get("stats").ok_or("process_stats: missing \"stats\"")?)?,
+            switch: switch()?,
+            stats: stats_from_json(obj.value("stats")?)?,
         },
         "expire_rule" => Transition::ExpireRule {
-            switch: switch("switch")?,
-            rule_index: num("rule_index")? as usize,
+            switch: switch()?,
+            rule_index: obj.int("rule_index")?,
         },
         "channel_fault" => {
-            let name = obj
-                .get("fault")
-                .and_then(Json::as_str)
-                .ok_or("channel_fault: missing \"fault\"")?;
+            let name = obj.str("fault")?;
             Transition::ChannelFault {
-                switch: switch("switch")?,
-                port: PortId(num("port")? as u16),
+                switch: switch()?,
+                port: port()?,
                 fault: channel_fault_parse(name)
-                    .ok_or_else(|| format!("channel_fault: unknown fault '{name}'"))?,
+                    .ok_or_else(|| format!("unknown fault '{name}'"))?,
             }
         }
-        "switch_crash" => Transition::SwitchCrash {
-            switch: switch("switch")?,
-        },
-        "switch_reconnect" => Transition::SwitchReconnect {
-            switch: switch("switch")?,
-        },
+        "switch_crash" => Transition::SwitchCrash { switch: switch()? },
+        "switch_reconnect" => Transition::SwitchReconnect { switch: switch()? },
         "ctrl_failover" => Transition::ControllerFailover,
         "mutate_of" => {
-            let name = obj
-                .get("mutation")
-                .and_then(Json::as_str)
-                .ok_or("mutate_of: missing \"mutation\"")?;
+            let name = obj.str("mutation")?;
             Transition::MutateOfHead {
-                switch: switch("switch")?,
+                switch: switch()?,
                 mutation: mutation_parse(name)
-                    .ok_or_else(|| format!("mutate_of: unknown mutation '{name}'"))?,
+                    .ok_or_else(|| format!("unknown mutation '{name}'"))?,
             }
         }
-        other => return Err(format!("unknown step kind '{other}'")),
-    };
-    Ok(TraceStep::Transition(transition))
+        _ => return Err("unknown step kind".to_string()),
+    })
 }
 
 /// Serializes a step sequence as a canonical JSON array of `nice-trace-v1`
@@ -608,348 +526,14 @@ pub fn steps_to_json(steps: &[TraceStep]) -> String {
     out
 }
 
-/// Parses a JSON array of `nice-trace-v1` step objects (the inverse of
-/// [`steps_to_json`]), accepting either a raw JSON string or an
-/// already-parsed [`json::Json`] array via [`steps_from_value`].
-pub fn steps_from_json(input: &str) -> Result<Vec<TraceStep>, String> {
-    steps_from_value(&json::parse(input)?)
-}
-
-/// Parses a step array out of an already-parsed JSON value.
+/// Parses an already-parsed JSON array of `nice-trace-v1` step objects
+/// (the inverse of [`steps_to_json`]).
 pub fn steps_from_value(value: &Json) -> Result<Vec<TraceStep>, String> {
     let arr = value.as_arr().ok_or("steps must be an array")?;
     arr.iter()
         .enumerate()
         .map(|(i, v)| step_from_json(v).map_err(|e| format!("step {i}: {e}")))
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser
-// ---------------------------------------------------------------------------
-
-pub use json::Json;
-
-/// A minimal JSON value parser, originally private to trace
-/// deserialization and now shared with the `nice-dist-v1` wire protocol.
-///
-/// `nice-mc` sits below the crates that could otherwise supply a parser,
-/// and this offline build has no serde — so the trace format carries its
-/// own ~150-line recursive-descent reader. Numbers keep their raw text, so
-/// `u64` values round-trip exactly (no `f64` detour).
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number, kept as its raw source text for exact integer reads.
-        Num(String),
-        /// A string (escapes decoded).
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, as insertion-ordered key/value pairs.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// The string value, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The boolean value, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Json::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The number as an exact `u64`, if this is a non-negative integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        /// The items, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// A keyed-lookup view, if this is an object.
-        pub fn as_obj(&self) -> Option<ObjRef<'_>> {
-            match self {
-                Json::Obj(pairs) => Some(ObjRef { pairs }),
-                _ => None,
-            }
-        }
-
-        /// Re-serializes the value as compact JSON. Numbers are emitted
-        /// with their original source text, so a parse → render round trip
-        /// is lossless for the integer-only documents the workspace emits.
-        pub fn render(&self) -> String {
-            match self {
-                Json::Null => "null".to_string(),
-                Json::Bool(b) => b.to_string(),
-                Json::Num(raw) => raw.clone(),
-                Json::Str(s) => format!("\"{}\"", super::escape(s)),
-                Json::Arr(items) => {
-                    let rendered: Vec<String> = items.iter().map(Json::render).collect();
-                    format!("[{}]", rendered.join(","))
-                }
-                Json::Obj(pairs) => {
-                    let rendered: Vec<String> = pairs
-                        .iter()
-                        .map(|(k, v)| format!("\"{}\":{}", super::escape(k), v.render()))
-                        .collect();
-                    format!("{{{}}}", rendered.join(","))
-                }
-            }
-        }
-    }
-
-    /// A borrowed view of an object with keyed lookup.
-    #[derive(Clone, Copy)]
-    pub struct ObjRef<'a> {
-        pairs: &'a [(String, Json)],
-    }
-
-    impl<'a> ObjRef<'a> {
-        /// The value stored under `key`, if present.
-        pub fn get(&self, key: &str) -> Option<&'a Json> {
-            self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// Parses exactly one JSON value (with no trailing garbage).
-    pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the JSON value"));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, message: &str) -> String {
-            format!("invalid JSON at byte {}: {}", self.pos, message)
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", byte as char)))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b't') => self.literal("true").map(|_| Json::Bool(true)),
-                Some(b'f') => self.literal("false").map(|_| Json::Bool(false)),
-                Some(b'n') => self.literal("null").map(|_| Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-
-        fn literal(&mut self, lit: &str) -> Result<(), String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{lit}'")))
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            let mut digits = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-                digits += 1;
-            }
-            if digits == 0 {
-                return Err(self.err("expected digits in number"));
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| self.err("invalid UTF-8 in number"))?;
-            Ok(Json::Num(raw.to_string()))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err(self.err("unterminated string")),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'b') => out.push('\u{0008}'),
-                            Some(b'f') => out.push('\u{000c}'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                self.pos += 1;
-                                let code = self.hex4()?;
-                                // BMP only: the trace writer never emits
-                                // surrogate pairs (labels are ASCII).
-                                out.push(
-                                    char::from_u32(u32::from(code))
-                                        .ok_or_else(|| self.err("invalid \\u escape"))?,
-                                );
-                                continue;
-                            }
-                            _ => return Err(self.err("invalid escape")),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                    Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn hex4(&mut self) -> Result<u16, String> {
-            let mut code: u16 = 0;
-            for _ in 0..4 {
-                let d = match self.peek() {
-                    Some(c @ b'0'..=b'9') => c - b'0',
-                    Some(c @ b'a'..=b'f') => c - b'a' + 10,
-                    Some(c @ b'A'..=b'F') => c - b'A' + 10,
-                    _ => return Err(self.err("expected 4 hex digits after \\u")),
-                };
-                code = code << 4 | u16::from(d);
-                self.pos += 1;
-            }
-            // Leave pos on the last hex digit; caller's loop continues.
-            self.pos -= 1;
-            self.pos += 1;
-            Ok(code)
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            self.skip_ws();
-            let mut pairs = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                pairs.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(self.err("expected ',' or '}' in object")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            self.skip_ws();
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(self.err("expected ',' or ']' in array")),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1095,13 +679,8 @@ mod tests {
     fn step_arrays_round_trip_standalone() {
         let trace = sample_trace();
         let json = steps_to_json(&trace.steps);
-        let parsed = steps_from_json(&json).expect("round trip");
-        assert_eq!(parsed, trace.steps);
-        // A rendered Json value re-parses to the same steps (the dist wire
-        // frames embed step arrays as nested values and re-render them).
         let value = json::parse(&json).expect("parse");
         assert_eq!(steps_from_value(&value).expect("from value"), trace.steps);
-        assert_eq!(value.render(), json);
     }
 
     #[test]
@@ -1119,6 +698,25 @@ mod tests {
              \"steps\":[{\"kind\":\"warp\"}]}";
         let err = Trace::from_json(bad_step).unwrap_err();
         assert!(err.contains("unknown step kind"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(Trace::from_json(&nested).is_err());
+    }
+
+    #[test]
+    fn out_of_range_packet_fields_are_rejected_not_truncated() {
+        let json = sample_trace().to_json();
+        assert!(json.contains("\"src_port\":0,"), "{json}");
+        // 70000 used to decode as port 4464 through an `as u16` cast.
+        let err =
+            Trace::from_json(&json.replace("\"src_port\":0,", "\"src_port\":70000,")).unwrap_err();
+        assert!(
+            err.contains("src_port") && err.contains("out of range"),
+            "{err}"
+        );
     }
 
     #[test]
